@@ -333,7 +333,7 @@ void Run(Json& out) {
                 1.0 / static_cast<double>(i + 1), &ctx));
           }
           IncrementalMerge merge(std::move(inputs), &ctx);
-          const auto rows = PullTopK(&merge, 20, &stats);
+          const auto rows = PullTopK(&merge, 20, /*width=*/1, &stats);
           DoNotOptimize(rows.data());
         }));
   }
@@ -351,7 +351,7 @@ void Run(Json& out) {
           auto r = std::make_unique<PatternScan>(
               &fx.store, cache.Get(right.Key()), right, 1, 1.0, &ctx);
           RankJoin join(std::move(l), std::move(r), {0}, &ctx);
-          const auto rows = PullTopK(&join, k, &stats);
+          const auto rows = PullTopK(&join, k, /*width=*/1, &stats);
           DoNotOptimize(rows.data());
         }));
   }
@@ -393,7 +393,7 @@ void Run(Json& out) {
               auto r2 = std::make_unique<PatternScan>(&big.store, right_list,
                                                       right, 1, 1.0, &ctx);
               RankJoin join(std::move(l), std::move(r2), {0}, &ctx);
-              rows = PullTopK(&join, k, &stats);
+              rows = PullTopK(&join, k, /*width=*/1, &stats);
             } else {
               std::vector<std::unique_ptr<ScoredRowIterator>> roots;
               for (uint32_t p = 0; p < parts; ++p) {
@@ -407,7 +407,7 @@ void Run(Json& out) {
                     part_ctx));
               }
               ParallelRankJoin join(std::move(roots), &ctx);
-              rows = PullTopK(&join, k, &stats);
+              rows = PullTopK(&join, k, /*width=*/1, &stats);
               ctx.MergePartitionStats();
             }
             DoNotOptimize(rows.data());
@@ -452,7 +452,7 @@ void Run(Json& out) {
             auto r = std::make_unique<PatternScan>(&big.store, list, pattern,
                                                    1, 1.0, &ctx);
             RankJoin join(std::move(l), std::move(r), {0}, &ctx);
-            const auto rows = PullTopK(&join, k, &stats);
+            const auto rows = PullTopK(&join, k, /*width=*/1, &stats);
             DoNotOptimize(rows.data());
           }));
     }
@@ -464,7 +464,7 @@ void Run(Json& out) {
       auto r = std::make_unique<PatternScan>(&big.store, blocked_list,
                                              pattern, 1, 1.0, &ctx);
       RankJoin join(std::move(l), std::move(r), {0}, &ctx);
-      const auto rows = PullTopK(&join, k, &stats);
+      const auto rows = PullTopK(&join, k, /*width=*/1, &stats);
       DoNotOptimize(rows.data());
     }  // tree teardown charges the untouched tail blocks as skipped
     const size_t blocks_per_list =

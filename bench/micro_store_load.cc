@@ -1,8 +1,9 @@
 // Store-load microbenchmark: how fast a saved knowledge graph becomes
 // queryable, v1 (parse + re-index) vs v2 (SQPSTOR2 zero-copy mmap) vs v3
 // (SQPSTOR3 block-compressed postings) vs an N-shard SQPBNDL1 bundle of
-// v3 shards (--shards, see docs/FORMATS.md). Reports cold (first load in
-// this process) and warm (best of repeats, page cache hot) figures plus
+// v3 shards (--shards, see docs/FORMATS.md). Reports first-load (first
+// load in this process; nothing evicts the file's pages, so the page cache
+// is already warm from the save) and warm (best of repeats) figures plus
 // bytes_mapped per format — the v3 footprint reduction (delta-encoded
 // posting blocks, no materialised SPO permutation) is the headline
 // metric; the bundle rows price the N-way open-time merge and record the
@@ -78,7 +79,7 @@ TripleStore BuildStore(size_t scale) {
 }
 
 struct LoadTiming {
-  double cold_ms = 0.0;  // first load in this process
+  double first_ms = 0.0;  // first load in this process, page cache warm
   double warm_ms = 0.0;  // best of kRepeats
 };
 
@@ -94,7 +95,7 @@ LoadTiming Measure(Fn load) {
     SPECQP_CHECK(triples == g_expected_triples)
         << "load returned a wrong store";
     if (rep == 0) {
-      timing.cold_ms = ms;
+      timing.first_ms = ms;
       timing.warm_ms = ms;
     } else {
       timing.warm_ms = std::min(timing.warm_ms, ms);
@@ -278,8 +279,8 @@ void Run(Json& out) {
 
   // --- report ----------------------------------------------------------------
 
-  const std::vector<int> widths = {34, 12, 12};
-  PrintRow({"variant", "cold ms", "warm ms"}, widths);
+  const std::vector<int> widths = {34, 32, 12};
+  PrintRow({"variant", "first load ms (page cache warm)", "warm ms"}, widths);
   PrintRule(widths);
   struct RowSpec {
     const char* name;
@@ -300,11 +301,11 @@ void Run(Json& out) {
       {bundle_eager_name.c_str(), &bundle_mmap_eager},
   };
   for (const RowSpec& row : rows) {
-    PrintRow({row.name, StrFormat("%.3f", row.timing->cold_ms),
+    PrintRow({row.name, StrFormat("%.3f", row.timing->first_ms),
               StrFormat("%.3f", row.timing->warm_ms)},
              widths);
   }
-  const double speedup_cold = v1_parse.cold_ms / v2_mmap.cold_ms;
+  const double speedup_first = v1_parse.first_ms / v2_mmap.first_ms;
   const double speedup_warm = v1_parse.warm_ms / v2_mmap.warm_ms;
   const double v3_reduction =
       bytes_mapped_v2 == 0
@@ -312,10 +313,11 @@ void Run(Json& out) {
           : 1.0 - static_cast<double>(bytes_mapped_v3) /
                       static_cast<double>(bytes_mapped_v2);
   std::printf(
-      "\nmmap speedup vs v1: %.1fx cold, %.1fx warm; bytes mapped "
+      "\nmmap speedup vs v1: %.1fx first load (page cache warm), %.1fx "
+      "warm; bytes mapped "
       "v2=%zu v3=%zu (v3 %.1f%% smaller); first mapped query "
       "v2 %.3f ms, v3 %.3f ms; answers match: %s\n",
-      speedup_cold, speedup_warm, bytes_mapped_v2, bytes_mapped_v3,
+      speedup_first, speedup_warm, bytes_mapped_v2, bytes_mapped_v3,
       100.0 * v3_reduction, mmap_first_query_ms, mmap_v3_first_query_ms,
       answers_match ? "yes" : "no");
   std::printf(
@@ -357,11 +359,11 @@ void Run(Json& out) {
   for (const auto& spec : specs) {
     Json& j = loads.Push(Json::Object());
     j.Set("name", spec.name);
-    j.Set("load_ms", spec.timing->cold_ms);
+    j.Set("load_ms", spec.timing->first_ms);
     j.Set("load_ms_warm", spec.timing->warm_ms);
     j.Set("bytes_mapped", spec.mapped);
   }
-  out.Set("speedup_cold_vs_v1", speedup_cold);
+  out.Set("speedup_cold_vs_v1", speedup_first);
   out.Set("speedup_warm_vs_v1", speedup_warm);
   out.Set("bytes_mapped_reduction_v3_vs_v2", v3_reduction);
   out.Set("mmap_first_query_ms", mmap_first_query_ms);

@@ -207,16 +207,10 @@ std::vector<Engine::QueryResult> BatchExecutor::Execute(
       // trees equal partitioned trees row-for-row anyway.
       ExecContext ctx(&result.stats, /*pool=*/nullptr, &shared, interrupt);
       auto root = engine_->executor_.Build(query, result.plan, &ctx);
-      result.rows = PullTopK(root.get(), k, &result.stats);
+      result.rows = PullTopK(root.get(), k, query.num_vars(), &result.stats);
       root.reset();
       ctx.MergePartitionStats();
       result.stats.exec_ms = exec_timer.ElapsedMillis();
-      // Trim chain-relaxation scratch slots, as Execute() does.
-      for (ScoredRow& row : result.rows) {
-        if (row.bindings.size() > query.num_vars()) {
-          row.bindings.resize(query.num_vars());
-        }
-      }
     });
   }
   if (engine_->pool_ != nullptr && tasks.size() > 1) {

@@ -395,7 +395,8 @@ void Engine::RunQuery(const Query& query, const QueryRequest& request,
           query, response->plan, request.k, adaptive, &ctx, &executed_plan);
     } else {
       auto root = executor_.Build(query, response->plan, &ctx);
-      response->rows = PullTopK(root.get(), request.k, &response->stats);
+      response->rows = PullTopK(root.get(), request.k, query.num_vars(),
+                                &response->stats);
       root.reset();  // partition trees die before their contexts merge
     }
     ctx.MergePartitionStats();
@@ -420,15 +421,6 @@ void Engine::RunQuery(const Query& query, const QueryRequest& request,
         break;
     }
     return;
-  }
-
-  // Chain relaxations execute with trailing scratch slots for their fresh
-  // variables (always kInvalidTermId at the root); trim rows back to the
-  // query's own variables.
-  for (ScoredRow& row : response->rows) {
-    if (row.bindings.size() > query.num_vars()) {
-      row.bindings.resize(query.num_vars());
-    }
   }
 
   // Calibration loop: record what the planner believed against what the

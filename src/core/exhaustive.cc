@@ -12,6 +12,18 @@ namespace specqp {
 
 namespace {
 
+// FNV-1a over a binding vector.
+struct BindingsHash {
+  size_t operator()(const std::vector<TermId>& b) const {
+    uint64_t h = 0xCBF29CE484222325ULL;
+    for (TermId t : b) {
+      h ^= t;
+      h *= 0x100000001B3ULL;
+    }
+    return static_cast<size_t>(h);
+  }
+};
+
 // Best derivations of one pattern-level match: overall maximum (Definition
 // 8) and the best through the original pattern only.
 struct Derivation {

@@ -110,7 +110,7 @@ std::vector<ScoredRow> SpeculativeExecutor::RunAdaptive(
   std::vector<PlanExecutor::LeafHandle> leaves;
   auto root = executor_->Build(query, plan, ctx, &leaves);
   if (!policy.enabled() || leaves.empty()) {
-    auto rows = PullTopK(root.get(), k, ctx->stats());
+    auto rows = PullTopK(root.get(), k, query.num_vars(), ctx->stats());
     root.reset();
     return rows;
   }
@@ -134,7 +134,7 @@ std::vector<ScoredRow> SpeculativeExecutor::RunAdaptive(
       static_cast<uint32_t>(std::min<uint64_t>(
           policy.check_rows == 0 ? 1 : policy.check_rows, 1u << 20)));
 
-  auto rows = PullTopK(root.get(), k, ctx->stats());
+  auto rows = PullTopK(root.get(), k, query.num_vars(), ctx->stats());
   const bool diverged = ctx->checkpoint_fired();
   ctx->ClearCheckpoint();
   root.reset();
@@ -153,7 +153,7 @@ std::vector<ScoredRow> SpeculativeExecutor::RunAdaptive(
   // Restart on warm memos: the posting cache already holds every list the
   // first attempt touched, so the rebuild is pointer-chasing, not I/O.
   auto root2 = executor_->Build(query, replanned, ctx, nullptr);
-  rows = PullTopK(root2.get(), k, ctx->stats());
+  rows = PullTopK(root2.get(), k, query.num_vars(), ctx->stats());
   root2.reset();
   return rows;
 }
@@ -218,7 +218,7 @@ std::vector<ScoredRow> SpeculativeExecutor::Race(
     } else {
       slot.executed = *slot.plan;
       auto root = executor_->Build(query, *slot.plan, &ctx);
-      slot.rows = PullTopK(root.get(), k, &slot.stats);
+      slot.rows = PullTopK(root.get(), k, query.num_vars(), &slot.stats);
       root.reset();
     }
     ctx.MergePartitionStats();

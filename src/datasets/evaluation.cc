@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <set>
 
 #include "topk/scored_row.h"
 #include "util/logging.h"
@@ -31,7 +31,7 @@ QualityMetrics EvaluateQualityWithTruth(
   // Precision (== recall): overlap of binding sets at cutoff k.
   const size_t denom = std::min(k, truth.answers.size());
   if (denom > 0) {
-    std::unordered_set<std::vector<TermId>, BindingsHash> truth_set;
+    std::set<std::vector<TermId>> truth_set;
     for (size_t i = 0; i < denom; ++i) {
       truth_set.insert(truth.answers[i].bindings);
     }

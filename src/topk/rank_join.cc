@@ -9,57 +9,66 @@ namespace specqp {
 RankJoin::RankJoin(std::unique_ptr<ScoredRowIterator> left,
                    std::unique_ptr<ScoredRowIterator> right,
                    std::vector<VarId> join_vars, ExecContext* ctx)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      join_vars_(std::move(join_vars)),
+    : join_vars_(std::move(join_vars)),
       ctx_(ctx),
-      stats_(ctx == nullptr ? nullptr : ctx->stats()) {
-  SPECQP_CHECK(left_ != nullptr && right_ != nullptr && stats_ != nullptr);
-  // Pre-size the output queue's backing store: the buffered band between
-  // the threshold and the emitted frontier regularly reaches dozens of
-  // rows, and growing the heap mid-join moves every buffered ScoredRow.
-  std::vector<ScoredRow> storage;
-  storage.reserve(64);
-  queue_ = decltype(queue_)(QueueOrder(), std::move(storage));
-}
-
-RankJoin::JoinKey RankJoin::KeyOf(const ScoredRow& row) const {
-  JoinKey key;
-  key.reserve(join_vars_.size());
-  for (VarId v : join_vars_) {
-    SPECQP_DCHECK(row.bindings[v] != kInvalidTermId)
-        << "join variable unbound in input row";
-    key.push_back(row.bindings[v]);
-  }
-  return key;
+      stats_(ctx == nullptr ? nullptr : ctx->stats()),
+      keys_(join_vars_.size()),
+      key_(join_vars_.size()) {
+  left_.input = std::move(left);
+  right_.input = std::move(right);
+  SPECQP_CHECK(left_.input != nullptr && right_.input != nullptr &&
+               stats_ != nullptr);
 }
 
 double RankJoin::Threshold() const {
-  const double ub_l = left_done_ ? -kInf : left_->UpperBound();
-  const double ub_r = right_done_ ? -kInf : right_->UpperBound();
-  // Before any row is seen on a side, its "top" defaults to the side's
-  // upper bound (conservative).
-  const double top_l = left_seen_ ? left_top_ : std::max(ub_l, 0.0);
-  const double top_r = right_seen_ ? right_top_ : std::max(ub_r, 0.0);
+  const double ub_l = left_.done ? -kInf : left_.input->UpperBound();
+  const double ub_r = right_.done ? -kInf : right_.input->UpperBound();
+  // A side's "top" is the score of its first row; before any row is seen
+  // it defaults to the side's upper bound (conservative).
+  const double top_l =
+      left_.rows() > 0 ? left_.scores[0] : std::max(ub_l, 0.0);
+  const double top_r =
+      right_.rows() > 0 ? right_.scores[0] : std::max(ub_r, 0.0);
 
   // Corner bounds: (seen left) x (unseen right) and (unseen left) x (seen
   // right). A corner with an exhausted unseen side cannot produce results.
-  const double corner_lr = right_done_ ? -kInf : top_l + ub_r;
-  const double corner_rl = left_done_ ? -kInf : ub_l + top_r;
+  const double corner_lr = right_.done ? -kInf : top_l + ub_r;
+  const double corner_rl = left_.done ? -kInf : ub_l + top_r;
   return std::max(corner_lr, corner_rl);
+}
+
+uint32_t RankJoin::NewResult() {
+  if (!free_results_.empty()) {
+    const uint32_t slot = free_results_.back();
+    free_results_.pop_back();
+    return slot;
+  }
+  result_cells_.resize(result_cells_.size() + width_);
+  result_scores_.push_back(0.0);
+  return static_cast<uint32_t>(result_scores_.size() - 1);
+}
+
+bool RankJoin::ResultBefore(uint32_t a, uint32_t b) const {
+  if (result_scores_[a] != result_scores_[b]) {
+    return result_scores_[a] > result_scores_[b];
+  }
+  const TermId* cells_a = result_cells_.data() + a * width_;
+  const TermId* cells_b = result_cells_.data() + b * width_;
+  return std::lexicographical_compare(cells_a, cells_a + width_, cells_b,
+                                      cells_b + width_);
 }
 
 bool RankJoin::Advance() {
   // HRJN* pull strategy: take from the input whose unseen rows have the
   // higher bound; alternate on ties.
-  const double ub_l = left_done_ ? -kInf : left_->UpperBound();
-  const double ub_r = right_done_ ? -kInf : right_->UpperBound();
-  if (left_done_ && right_done_) return false;
+  const double ub_l = left_.done ? -kInf : left_.input->UpperBound();
+  const double ub_r = right_.done ? -kInf : right_.input->UpperBound();
+  if (left_.done && right_.done) return false;
 
   bool pull_left;
-  if (left_done_) {
+  if (left_.done) {
     pull_left = false;
-  } else if (right_done_) {
+  } else if (right_.done) {
     pull_left = true;
   } else if (ub_l != ub_r) {
     pull_left = ub_l > ub_r;
@@ -68,63 +77,82 @@ bool RankJoin::Advance() {
     pull_left_next_ = !pull_left_next_;
   }
 
-  ScoredRowIterator* input = pull_left ? left_.get() : right_.get();
-  ScoredRow row;
-  if (!input->Next(&row)) {
-    (pull_left ? left_done_ : right_done_) = true;
+  Side& own = pull_left ? left_ : right_;
+  Side& other = pull_left ? right_ : left_;
+  ScoredRow& row = scratch_;
+  if (!own.input->Next(&row)) {
+    own.done = true;
     // Dead-side pruning: a side that exhausted without producing a single
-    // row (its hash table is empty) can never supply a join partner, so no
-    // row the other input still holds can contribute a result. Discarding
-    // the other side lets block-backed scans account their remaining blocks
-    // as skipped instead of decoding them. Both the trigger (an input's
-    // contents) and the effect (suppressing rows that would join against an
-    // empty table) are pull-order independent, so emitted answers are
-    // unchanged.
-    if (pull_left && !right_done_ && left_table_.empty()) {
-      right_->Discard();
-      right_done_ = true;
-    } else if (!pull_left && !left_done_ && right_table_.empty()) {
-      left_->Discard();
-      left_done_ = true;
+    // row can never supply a join partner, so no row the other input
+    // still holds can contribute a result. Discarding the other side lets
+    // block-backed scans account their remaining blocks as skipped instead
+    // of decoding them. Both the trigger (an input's contents) and the
+    // effect (suppressing rows that would join against an empty side) are
+    // pull-order independent, so emitted answers are unchanged.
+    if (!other.done && own.rows() == 0) {
+      other.input->Discard();
+      other.done = true;
     }
     return true;  // state changed; caller re-evaluates
   }
 
-  if (pull_left) {
-    if (!left_seen_) {
-      left_seen_ = true;
-      left_top_ = row.score;
-    }
-  } else {
-    if (!right_seen_) {
-      right_seen_ = true;
-      right_top_ = row.score;
-    }
-  }
+  if (left_.rows() + right_.rows() == 0) width_ = row.bindings.size();
+  SPECQP_DCHECK(row.bindings.size() == width_)
+      << "input rows differ in width";
 
-  JoinKey key = KeyOf(row);  // non-const so the move below is real
-  HashTable& own = pull_left ? left_table_ : right_table_;
-  HashTable& other = pull_left ? right_table_ : left_table_;
+  for (size_t i = 0; i < join_vars_.size(); ++i) {
+    key_[i] = row.bindings[join_vars_[i]];
+    SPECQP_DCHECK(key_[i] != kInvalidTermId)
+        << "join variable unbound in input row";
+  }
+  bool inserted = false;
+  const uint32_t key = keys_.Insert(key_.data(), &inserted);
+  if (inserted) {
+    left_.head.push_back(kNone);
+    right_.head.push_back(kNone);
+  }
 
   ++stats_->join_hash_probes;
-  auto it = other.find(key);
-  if (it != other.end()) {
-    for (const ScoredRow& match : it->second) {
-      // Key equality guarantees the join variables agree; any remaining
-      // overlap is non-join slots, where the LEFT input's binding wins
-      // deterministically (MergeBindingsInto is left-biased), independent
-      // of which side happened to be probed. With empty join_vars_ every
-      // pair matches and this degenerates to the cross product.
-      ScoredRow merged = pull_left ? row : match;
-      MergeBindingsInto(pull_left ? match : row, &merged);
-      merged.score = row.score + match.score;
-      ++stats_->join_results;
-      ++stats_->answer_objects;
-      queue_.push(std::move(merged));
+  for (uint32_t match = other.head[key]; match != kNone;
+       match = other.next[match]) {
+    // Key equality guarantees the join variables agree. Unbound slots
+    // (kInvalidTermId) of the left row take the right row's value; slots
+    // bound on both sides are non-join slots, where the LEFT input's
+    // binding wins deterministically, independent of which side happened
+    // to be probed — so answers are a function of the inputs alone. With
+    // no join variables every pair matches and this degenerates to the
+    // cross product, whose sides may bind the same slots differently.
+    const TermId* match_cells = other.cells.data() + match * width_;
+    const TermId* l = pull_left ? row.bindings.data() : match_cells;
+    const TermId* r = pull_left ? match_cells : row.bindings.data();
+    const uint32_t result = NewResult();
+    TermId* merged = result_cells_.data() + result * width_;
+    for (size_t s = 0; s < width_; ++s) {
+      merged[s] = l[s] != kInvalidTermId ? l[s] : r[s];
     }
+    result_scores_[result] = row.score + other.scores[match];
+    queue_.push_back(result);
+    std::push_heap(queue_.begin(), queue_.end(), QueueLess());
+    ++stats_->join_results;
+    ++stats_->answer_objects;
   }
-  own[std::move(key)].push_back(std::move(row));
+
+  own.cells.insert(own.cells.end(), row.bindings.begin(), row.bindings.end());
+  own.scores.push_back(row.score);
+  own.next.push_back(own.head[key]);
+  own.head[key] = static_cast<uint32_t>(own.rows() - 1);
   return true;
+}
+
+void RankJoin::Emit(ScoredRow* out) {
+  std::pop_heap(queue_.begin(), queue_.end(), QueueLess());
+  const uint32_t result = queue_.back();
+  queue_.pop_back();
+  const TermId* cells = result_cells_.data() + result * width_;
+  out->bindings.assign(cells, cells + width_);
+  out->score = result_scores_[result];
+  free_results_.push_back(result);
+  ++rows_emitted_;
 }
 
 bool RankJoin::Next(ScoredRow* out) {
@@ -141,18 +169,15 @@ bool RankJoin::Next(ScoredRow* out) {
     // RowBefore order. This is what makes the output a deterministic total
     // order instead of a discovery order (required for parallel == serial).
     const double threshold = Threshold();
-    if (!queue_.empty() && queue_.top().score > threshold + kEps) {
-      *out = queue_.top();
-      queue_.pop();
-      ++rows_emitted_;
+    if (!queue_.empty() &&
+        result_scores_[queue_.front()] > threshold + kEps) {
+      Emit(out);
       return true;
     }
     if (!Advance()) {
       // Both inputs exhausted: drain whatever is buffered.
       if (queue_.empty()) return false;
-      *out = queue_.top();
-      queue_.pop();
-      ++rows_emitted_;
+      Emit(out);
       return true;
     }
   }
@@ -161,22 +186,20 @@ bool RankJoin::Next(ScoredRow* out) {
 double RankJoin::UpperBound() const {
   const double threshold = Threshold();
   const double buffered =
-      queue_.empty() ? -kInf : queue_.top().score;
+      queue_.empty() ? -kInf : result_scores_[queue_.front()];
   const double bound = std::max(threshold, buffered);
   return (bound == -kInf) ? kExhausted : bound;
 }
 
 void RankJoin::Discard() {
-  if (!left_done_) {
-    left_->Discard();
-    left_done_ = true;
-  }
-  if (!right_done_) {
-    right_->Discard();
-    right_done_ = true;
+  for (Side* side : {&left_, &right_}) {
+    if (!side->done) {
+      side->input->Discard();
+      side->done = true;
+    }
   }
   // Buffered-but-unemitted results are abandoned so Next() returns false.
-  queue_ = decltype(queue_)(QueueOrder());
+  queue_.clear();
 }
 
 }  // namespace specqp

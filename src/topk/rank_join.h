@@ -1,13 +1,13 @@
 #ifndef SPECQP_TOPK_RANK_JOIN_H_
 #define SPECQP_TOPK_RANK_JOIN_H_
 
+#include <cstdint>
 #include <limits>
 #include <memory>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "topk/exec_context.h"
+#include "topk/key_table.h"
 #include "topk/operator.h"
 
 namespace specqp {
@@ -17,8 +17,8 @@ namespace specqp {
 // descending order of the score *sum*, reading as little of each input as
 // possible.
 //
-// State: one hash table per input keyed on the join-variable values, an
-// output priority queue, and the classic corner-bound threshold
+// State: the rows read from each input indexed on the join-variable values,
+// an output priority queue, and the classic corner-bound threshold
 //
 //   T = max( topL + ubR , ubL + topR )
 //
@@ -44,6 +44,15 @@ namespace specqp {
 // degenerating to a full drain only when an entire input is one tied band
 // (uniform scores). Hash partitioning shrinks each band by the partition
 // factor, so the parallel path also bounds this cost per partition.
+//
+// Storage is flat and sized per query: each input's rows live in one
+// width-W TermId array (W = the query's binding width, fixed when the plan
+// is built) with parallel score and next-row arrays, and one KeyTable over
+// the join-variable values indexes both inputs — per key id, each side
+// keeps the head of a chain of its rows with that key. Join results live
+// in a flat store whose freed slots are reused; the output queue is a heap
+// of indices into it. Input rows are pulled into one member scratch row,
+// so in steady state a join allocates nothing per row.
 class RankJoin final : public ScoredRowIterator {
  public:
   // `join_vars`: variables bound on both sides (may be empty — degenerates
@@ -61,44 +70,56 @@ class RankJoin final : public ScoredRowIterator {
   uint64_t RowsEmitted() const override { return rows_emitted_; }
 
  private:
-  using JoinKey = std::vector<TermId>;
-  using HashTable = std::unordered_map<JoinKey, std::vector<ScoredRow>,
-                                       BindingsHash>;
+  static constexpr uint32_t kNone = UINT32_MAX;
 
-  JoinKey KeyOf(const ScoredRow& row) const;
+  // One input and the rows read from it so far.
+  struct Side {
+    std::unique_ptr<ScoredRowIterator> input;
+    std::vector<TermId> cells;    // row r: [r * W, (r + 1) * W)
+    std::vector<double> scores;   // row r's score
+    std::vector<uint32_t> next;   // row r's predecessor with its key
+    std::vector<uint32_t> head;   // per key id: latest row, or kNone
+    bool done = false;
+
+    size_t rows() const { return scores.size(); }
+  };
+
   double Threshold() const;
   // Pulls one row from the chosen input and joins it against the other
-  // side's table; returns false if both inputs are exhausted.
+  // side's rows; returns false if both inputs are exhausted.
   bool Advance();
+  // A free slot of the result store.
+  uint32_t NewResult();
+  // RowBefore over two results in the store.
+  bool ResultBefore(uint32_t a, uint32_t b) const;
+  // std::*_heap order over result slots, so the top is emitted first.
+  auto QueueLess() const {
+    return [this](uint32_t a, uint32_t b) { return ResultBefore(b, a); };
+  }
+  // Pops the queue's first result into `out`.
+  void Emit(ScoredRow* out);
 
   static constexpr double kInf = std::numeric_limits<double>::infinity();
   static constexpr double kEps = 1e-9;
 
-  std::unique_ptr<ScoredRowIterator> left_;
-  std::unique_ptr<ScoredRowIterator> right_;
+  Side left_;
+  Side right_;
   std::vector<VarId> join_vars_;
   ExecContext* ctx_;
   ExecStats* stats_;
 
-  HashTable left_table_;
-  HashTable right_table_;
-  bool left_done_ = false;
-  bool right_done_ = false;
-  bool left_seen_ = false;
-  bool right_seen_ = false;
-  double left_top_ = 0.0;
-  double right_top_ = 0.0;
+  size_t width_ = 0;  // W, taken from the first row pulled
+  KeyTable keys_;
+  std::vector<TermId> key_;  // the pulled row's join-variable values
+  ScoredRow scratch_;        // the pulled row
   bool pull_left_next_ = true;  // tie-breaker for alternating pulls
   uint64_t rows_emitted_ = 0;
 
-  struct QueueOrder {
-    // std::priority_queue keeps the *greatest* element (per comparator) on
-    // top; RowBefore(a, b) == "a should be emitted before b".
-    bool operator()(const ScoredRow& a, const ScoredRow& b) const {
-      return RowBefore(b, a);
-    }
-  };
-  std::priority_queue<ScoredRow, std::vector<ScoredRow>, QueueOrder> queue_;
+  std::vector<TermId> result_cells_;   // result slot i: [i * W, (i + 1) * W)
+  std::vector<double> result_scores_;
+  std::vector<uint32_t> free_results_;
+  // Heap of result slots; the front is the RowBefore-least (next to emit).
+  std::vector<uint32_t> queue_;
 };
 
 }  // namespace specqp

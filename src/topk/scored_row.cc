@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace specqp {
@@ -10,20 +9,6 @@ namespace specqp {
 bool RowBefore(const ScoredRow& a, const ScoredRow& b) {
   if (a.score != b.score) return a.score > b.score;
   return a.bindings < b.bindings;
-}
-
-void MergeBindingsInto(const ScoredRow& right, ScoredRow* left) {
-  SPECQP_DCHECK(left->bindings.size() == right.bindings.size());
-  for (size_t i = 0; i < right.bindings.size(); ++i) {
-    if (left->bindings[i] == kInvalidTermId) {
-      left->bindings[i] = right.bindings[i];
-    }
-    // Slots bound on both sides keep `left`'s value. Join operators
-    // guarantee agreement on the join variables via key equality before
-    // merging; non-join slots may legitimately differ (e.g. a cross
-    // product with no join variables), and there the merge target —
-    // chosen deterministically by the caller — wins.
-  }
 }
 
 std::string RowToString(const ScoredRow& row, const Query& query,

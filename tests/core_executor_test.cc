@@ -51,7 +51,7 @@ TEST(PlanExecutorTest, NoRelaxPlanEqualsOracleWithoutRules) {
   ExecStats stats;
   ExecContext ctx(&stats);
   auto root = executor.Build(query, QueryPlan::NoRelaxationsPlan(2), &ctx);
-  const auto rows = PullTopK(root.get(), 10, &stats);
+  const auto rows = PullTopK(root.get(), 10, query.num_vars(), &stats);
   ExpectMatchesOracle(rows, oracle.Evaluate(query), 10);
 }
 
@@ -71,7 +71,7 @@ TEST(PlanExecutorTest, TrinitPlanEqualsOracleWithRules) {
     ExecContext ctx(&stats);
     auto root = executor.Build(
         query, QueryPlan::TrinitPlan(query.num_patterns()), &ctx);
-    const auto rows = PullTopK(root.get(), 10, &stats);
+    const auto rows = PullTopK(root.get(), 10, query.num_vars(), &stats);
     ExpectMatchesOracle(rows, oracle.Evaluate(query), 10);
   }
 }
@@ -99,7 +99,7 @@ TEST(PlanExecutorTest, MixedPlanEqualsOracleWithFilteredRules) {
   ExecStats stats;
   ExecContext ctx(&stats);
   auto root = executor.Build(query, plan, &ctx);
-  const auto rows = PullTopK(root.get(), 10, &stats);
+  const auto rows = PullTopK(root.get(), 10, query.num_vars(), &stats);
   ExpectMatchesOracle(rows, oracle.Evaluate(query), 10);
 }
 
@@ -115,7 +115,7 @@ TEST(PlanExecutorTest, PaperExampleQueryTrinit) {
   ExecStats stats;
   ExecContext ctx(&stats);
   auto root = executor.Build(query, QueryPlan::TrinitPlan(4), &ctx);
-  const auto rows = PullTopK(root.get(), 3, &stats);
+  const auto rows = PullTopK(root.get(), 3, query.num_vars(), &stats);
   ASSERT_FALSE(rows.empty());
   // Oracle cross-check.
   ExhaustiveEvaluator oracle(&fx.store, &fx.rules);
@@ -134,7 +134,7 @@ TEST(PlanExecutorTest, SingletonOnlyPlanOnSinglePattern) {
   QueryPlan plan;
   plan.singletons = {0};
   auto root = executor.Build(query, plan, &ctx);
-  const auto rows = PullTopK(root.get(), 10, &stats);
+  const auto rows = PullTopK(root.get(), 10, query.num_vars(), &stats);
   EXPECT_EQ(rows.size(), 2u);  // norah, ray — no rules for jazz_singer
 }
 
@@ -150,13 +150,13 @@ TEST(PlanExecutorTest, FewerAnswerObjectsWithJoinGroupPlan) {
   ExecContext trinit_ctx(&trinit_stats);
   auto trinit_root =
       executor.Build(query, QueryPlan::TrinitPlan(2), &trinit_ctx);
-  PullTopK(trinit_root.get(), 5, &trinit_stats);
+  PullTopK(trinit_root.get(), 5, query.num_vars(), &trinit_stats);
 
   ExecStats norelax_stats;
   ExecContext norelax_ctx(&norelax_stats);
   auto norelax_root =
       executor.Build(query, QueryPlan::NoRelaxationsPlan(2), &norelax_ctx);
-  PullTopK(norelax_root.get(), 5, &norelax_stats);
+  PullTopK(norelax_root.get(), 5, query.num_vars(), &norelax_stats);
 
   EXPECT_LE(norelax_stats.answer_objects, trinit_stats.answer_objects);
 }
@@ -200,7 +200,7 @@ TEST_P(ExecutorPropertyTest, TrinitMatchesOracleOnRandomData) {
       ExecContext ctx(&stats);
       auto root = executor.Build(
           query, QueryPlan::TrinitPlan(query.num_patterns()), &ctx);
-      const auto rows = PullTopK(root.get(), k, &stats);
+      const auto rows = PullTopK(root.get(), k, query.num_vars(), &stats);
       const auto truth = oracle.Evaluate(query);
       const size_t expect = std::min(k, truth.answers.size());
       ASSERT_EQ(rows.size(), expect) << "k=" << k;
@@ -262,7 +262,7 @@ TEST_P(MixedPlanPropertyTest, ArbitraryPlanEqualsFilteredOracle) {
     ExecStats stats;
     ExecContext ctx(&stats);
     auto root = executor.Build(query, plan, &ctx);
-    const auto rows = PullTopK(root.get(), 8, &stats);
+    const auto rows = PullTopK(root.get(), 8, query.num_vars(), &stats);
     const size_t expect = std::min<size_t>(8, truth.answers.size());
     ASSERT_EQ(rows.size(), expect);
     for (size_t i = 0; i < expect; ++i) {

@@ -6,7 +6,13 @@
 // store. Block skipping is an access-path optimisation only; this is the
 // determinism contract of docs/ARCHITECTURE.md ("Block iterator &
 // skipping").
+//
+// The same 116 queries also pin the engine's answers and operator work to
+// checked-in digests, so a change that alters answers identically on every
+// path (which the self-comparison above cannot see) still fails.
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -18,6 +24,7 @@
 #include "datasets/xkg_generator.h"
 #include "rdf/store_io.h"
 #include "test_util.h"
+#include "util/crc32.h"
 
 namespace specqp {
 namespace {
@@ -35,7 +42,16 @@ void ExpectIdenticalRows(const std::vector<ScoredRow>& a,
   }
 }
 
-TEST(StoreFormatProbeTest, WorkloadBitIdenticalAcrossFormatsAndThreads) {
+// The 66 XKG + 50 Twitter test-sized workload, built once per process.
+struct ProbeSet {
+  XkgDataset xkg;
+  TwitterDataset twitter;
+  std::vector<Query> xkg_queries;
+  std::vector<Query> twitter_queries;
+};
+
+ProbeSet* BuildProbeSet() {
+  auto* set = new ProbeSet;
   XkgConfig xkg_config;
   xkg_config.num_entities = 6000;
   xkg_config.num_domains = 8;
@@ -48,21 +64,34 @@ TEST(StoreFormatProbeTest, WorkloadBitIdenticalAcrossFormatsAndThreads) {
   // & skipping"). A gentler curve keeps result scores competitive with
   // the corner bound so the skip path is actually exercised end-to-end.
   xkg_config.entity_popularity_skew = 0.15;
-  const XkgDataset xkg = GenerateXkg(xkg_config);
+  set->xkg = GenerateXkg(xkg_config);
   XkgWorkloadConfig xkg_wl;  // defaults: 22 per size of 2/3/4 => 66
   xkg_wl.min_relaxations = 8;
-  const std::vector<Query> xkg_queries = MakeXkgWorkload(xkg, xkg_wl);
-  ASSERT_EQ(xkg_queries.size(), 66u);
+  set->xkg_queries = MakeXkgWorkload(set->xkg, xkg_wl);
 
   TwitterConfig twitter_config;
   twitter_config.num_tweets = 20000;
   twitter_config.num_topics = 12;
-  const TwitterDataset twitter = GenerateTwitter(twitter_config);
+  set->twitter = GenerateTwitter(twitter_config);
   TwitterWorkloadConfig twitter_wl;  // defaults: 25 per size of 2/3 => 50
   twitter_wl.min_relaxations = 4;
   twitter_wl.min_relaxed_answers = 10;
-  const std::vector<Query> twitter_queries =
-      MakeTwitterWorkload(twitter, twitter_wl);
+  set->twitter_queries = MakeTwitterWorkload(set->twitter, twitter_wl);
+  return set;
+}
+
+const ProbeSet& GetProbeSet() {
+  static const ProbeSet* set = BuildProbeSet();
+  return *set;
+}
+
+TEST(StoreFormatProbeTest, WorkloadBitIdenticalAcrossFormatsAndThreads) {
+  const ProbeSet& set = GetProbeSet();
+  const XkgDataset& xkg = set.xkg;
+  const TwitterDataset& twitter = set.twitter;
+  const std::vector<Query>& xkg_queries = set.xkg_queries;
+  const std::vector<Query>& twitter_queries = set.twitter_queries;
+  ASSERT_EQ(xkg_queries.size(), 66u);
   ASSERT_EQ(twitter_queries.size(), 50u);
   ASSERT_EQ(xkg_queries.size() + twitter_queries.size(), 116u);
 
@@ -144,6 +173,62 @@ TEST(StoreFormatProbeTest, WorkloadBitIdenticalAcrossFormatsAndThreads) {
   // The rank-join-heavy XKG workload must actually exercise the skipping
   // machinery: top-k early termination leaves undecoded blocks behind.
   EXPECT_GT(xkg_v3_blocks_skipped, 0u);
+}
+
+// Answer pin. Changing either constant needs a CHANGES.md entry naming the
+// reason: the answers digest moves only if some query's rows (bindings or
+// score bits) change, the work digest only if an operator does different
+// work (rows scanned, merged, deduplicated, joined, probed or
+// materialised) to produce them.
+constexpr uint32_t kAnswersDigest = 1531274824;
+constexpr uint32_t kWorkDigest = 42688737;
+
+TEST(StoreFormatProbeTest, AnswersAndWorkMatchPinnedDigests) {
+  const ProbeSet& set = GetProbeSet();
+  ASSERT_EQ(set.xkg_queries.size() + set.twitter_queries.size(), 116u);
+  const struct {
+    const TripleStore* store;
+    const RelaxationIndex* rules;
+    const std::vector<Query>* workload;
+  } bundles[] = {
+      {&set.xkg.store, &set.xkg.rules, &set.xkg_queries},
+      {&set.twitter.store, &set.twitter.rules, &set.twitter_queries},
+  };
+
+  uint32_t answers = 0;
+  uint32_t work = 0;
+  for (const auto& bundle : bundles) {
+    for (const int threads : {1, 2}) {
+      EngineOptions options;
+      options.num_threads = threads;
+      if (threads > 1) options.parallel_min_rows = 1;  // force partitioning
+      Engine engine(bundle.store, bundle.rules, options);
+      for (const Strategy strategy :
+           {Strategy::kSpecQp, Strategy::kTrinit, Strategy::kNoRelax}) {
+        for (const size_t k : {size_t{10}, size_t{15}, size_t{20}}) {
+          for (const Query& query : *bundle.workload) {
+            const auto result = testing::Execute(engine, query, k, strategy);
+            const uint64_t num_rows = result.rows.size();
+            answers = Crc32c(&num_rows, sizeof(num_rows), answers);
+            for (const ScoredRow& row : result.rows) {
+              answers = Crc32c(row.bindings.data(),
+                               row.bindings.size() * sizeof(TermId), answers);
+              uint64_t score_bits = 0;
+              std::memcpy(&score_bits, &row.score, sizeof(score_bits));
+              answers = Crc32c(&score_bits, sizeof(score_bits), answers);
+            }
+            const ExecStats& s = result.stats;
+            const uint64_t counters[] = {
+                s.scan_rows,    s.merge_rows,       s.merge_duplicates,
+                s.join_results, s.join_hash_probes, s.answer_objects};
+            work = Crc32c(counters, sizeof(counters), work);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(answers, kAnswersDigest);
+  EXPECT_EQ(work, kWorkDigest);
 }
 
 }  // namespace

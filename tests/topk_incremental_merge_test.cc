@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -200,6 +201,78 @@ TEST(IncrementalMergeTest, LazyInputsNotPulledUntilNeeded) {
   // Two emissions from the high stream; the low stream must not have been
   // pulled at all (its bound 0.1 never became the maximum).
   EXPECT_EQ(low_pulls, 0);
+}
+
+TEST(IncrementalMergeTest, DedupAcrossRehashKeepsFirstMaxDerivation) {
+  // 200 distinct answers grow the seen set through several rehashes before
+  // the lower-scored second derivations of the first answers arrive.
+  std::vector<std::pair<TermId, double>> first;
+  for (TermId i = 0; i < 200; ++i) {
+    first.emplace_back(i, 1.0 - 0.001 * i);
+  }
+  std::vector<std::pair<TermId, double>> second;
+  for (TermId i = 0; i < 10; ++i) second.emplace_back(i, 0.5 - 0.01 * i);
+  second.emplace_back(500, 0.1);
+  ExecStats stats;
+  ExecContext ctx(&stats);
+  std::vector<std::unique_ptr<ScoredRowIterator>> inputs;
+  inputs.push_back(MakeInput(first));
+  inputs.push_back(MakeInput(second));
+  IncrementalMerge merge(std::move(inputs), &ctx);
+  const auto rows = Drain(&merge);
+  ASSERT_EQ(rows.size(), 201u);
+  for (TermId i = 0; i < 200; ++i) {
+    EXPECT_EQ(rows[i].bindings[0], i);
+    EXPECT_EQ(rows[i].score, 1.0 - 0.001 * i) << "first derivation must win";
+  }
+  EXPECT_EQ(rows[200].bindings[0], 500u);
+  EXPECT_EQ(stats.merge_duplicates, 10u);
+  EXPECT_EQ(stats.merge_rows, 201u);
+}
+
+TEST(IncrementalMergeTest, DedupKeysOnTheBoundSlotsOnly) {
+  // Rows of a pattern binding slots 0 and 2 of a 3-wide row; slot 1 stays
+  // unbound in every input.
+  auto input = [](const std::vector<std::tuple<TermId, TermId, double>>& v) {
+    std::vector<ScoredRow> rows;
+    for (const auto& [a, b, score] : v) {
+      ScoredRow row(3, score);
+      row.bindings[0] = a;
+      row.bindings[2] = b;
+      rows.push_back(std::move(row));
+    }
+    return std::make_unique<VectorIterator>(std::move(rows));
+  };
+  ExecStats stats;
+  ExecContext ctx(&stats);
+  std::vector<std::unique_ptr<ScoredRowIterator>> inputs;
+  inputs.push_back(input({{1, 2, 0.9}, {1, 3, 0.7}}));
+  inputs.push_back(input({{1, 3, 0.8}, {2, 1, 0.6}, {1, 2, 0.5}}));
+  IncrementalMerge merge(std::move(inputs), &ctx);
+  const auto rows = Drain(&merge);
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].bindings, (std::vector<TermId>{1, kInvalidTermId, 2}));
+  EXPECT_EQ(rows[1].bindings, (std::vector<TermId>{1, kInvalidTermId, 3}));
+  EXPECT_DOUBLE_EQ(rows[1].score, 0.8);
+  EXPECT_EQ(rows[2].bindings, (std::vector<TermId>{2, kInvalidTermId, 1}));
+  EXPECT_EQ(stats.merge_duplicates, 2u);
+}
+
+TEST(IncrementalMergeTest, EqualHeadScoresEmitInInputIndexOrder) {
+  // Every head ties at 0.5: the lowest input index goes first, whether the
+  // tie is between buffered heads or between unpulled inputs' bounds.
+  ExecStats stats;
+  ExecContext ctx(&stats);
+  std::vector<std::unique_ptr<ScoredRowIterator>> inputs;
+  inputs.push_back(MakeInput({{5, 0.5}}));
+  inputs.push_back(MakeInput({{3, 0.5}, {6, 0.5}}));
+  inputs.push_back(MakeInput({{4, 0.5}}));
+  inputs.push_back(MakeInput({{2, 0.5}}));
+  IncrementalMerge merge(std::move(inputs), &ctx);
+  const auto rows = Drain(&merge);
+  std::vector<TermId> order;
+  for (const ScoredRow& row : rows) order.push_back(row.bindings[0]);
+  EXPECT_EQ(order, (std::vector<TermId>{5, 3, 6, 4, 2}));
 }
 
 TEST(IncrementalMergeDeathTest, NoInputsAborts) {

@@ -178,7 +178,7 @@ TEST(ParallelRankJoinTest, TopKPrefixStableUnderBatchSize) {
     std::vector<std::unique_ptr<ScoredRowIterator>> inputs;
     for (auto& part : parts) inputs.push_back(SortedInput(part));
     ParallelRankJoin merge(std::move(inputs), &ctx, batch);
-    auto result = PullTopK(&merge, 10, &stats);
+    auto result = PullTopK(&merge, 10, /*width=*/2, &stats);
     ASSERT_EQ(result.size(), 10u);
     if (first_result.empty()) {
       first_result = std::move(result);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "topk/key_table.h"
 #include "topk/top_k.h"
 
 namespace specqp {
@@ -149,30 +150,6 @@ TEST(RankJoinTest, NextAfterExhaustionKeepsReturningFalse) {
   EXPECT_EQ(stats.join_results, 1u);
 }
 
-// --- MergeBindingsInto contract (left wins on non-join conflicts) ------------
-
-TEST(MergeBindingsTest, FillsUnboundSlotsFromRight) {
-  ScoredRow left(3, 0.5);
-  left.bindings[0] = 7;
-  ScoredRow right(3, 0.2);
-  right.bindings[1] = 8;
-  MergeBindingsInto(right, &left);
-  EXPECT_EQ(left.bindings[0], 7u);
-  EXPECT_EQ(left.bindings[1], 8u);
-  EXPECT_EQ(left.bindings[2], kInvalidTermId);
-}
-
-TEST(MergeBindingsTest, LeftWinsOnConflictingSlots) {
-  ScoredRow left(2, 0.9);
-  left.bindings[0] = 1;
-  ScoredRow right(2, 0.8);
-  right.bindings[0] = 2;
-  right.bindings[1] = 20;
-  MergeBindingsInto(right, &left);
-  EXPECT_EQ(left.bindings[0], 1u) << "probe (left) row's binding must win";
-  EXPECT_EQ(left.bindings[1], 20u);
-}
-
 TEST(RankJoinTest, CrossProductLeftInputBindingsWin) {
   // In a cross product the two sides bind the same slots to different
   // terms; the LEFT input's binding must win deterministically — never
@@ -236,6 +213,200 @@ TEST(RankJoinTest, EarlyTerminationReadsOnlyWhatIsNeeded) {
   // Producing the top-1 result must not have materialised the ~1000
   // tail join results.
   EXPECT_LT(stats.join_results, 10u);
+}
+
+// --- KeyTable and the join's row store ---------------------------------------
+
+// `count` single-cell keys whose hashes agree in their low 12 bits, so they
+// share a home slot in every table of up to 4096 slots.
+std::vector<TermId> CollidingKeys(size_t count) {
+  std::vector<TermId> keys;
+  const TermId first = 1;
+  const uint64_t home = KeyTable::Hash(&first, 1) & 0xFFF;
+  for (TermId t = first; keys.size() < count; ++t) {
+    if ((KeyTable::Hash(&t, 1) & 0xFFF) == home) keys.push_back(t);
+  }
+  return keys;
+}
+
+// All pairs of `left` x `right` agreeing on `join_vars`, merged left-wins,
+// sorted in emission order.
+std::vector<ScoredRow> NaiveJoin(const std::vector<ScoredRow>& left,
+                                 const std::vector<ScoredRow>& right,
+                                 const std::vector<VarId>& join_vars) {
+  std::vector<ScoredRow> out;
+  for (const ScoredRow& l : left) {
+    for (const ScoredRow& r : right) {
+      bool match = true;
+      for (VarId v : join_vars) match &= l.bindings[v] == r.bindings[v];
+      if (!match) continue;
+      ScoredRow merged = l;
+      for (size_t s = 0; s < merged.bindings.size(); ++s) {
+        if (merged.bindings[s] == kInvalidTermId) {
+          merged.bindings[s] = r.bindings[s];
+        }
+      }
+      merged.score = l.score + r.score;
+      out.push_back(std::move(merged));
+    }
+  }
+  std::sort(out.begin(), out.end(), RowBefore);
+  return out;
+}
+
+std::vector<ScoredRow> SortedRows(std::vector<ScoredRow> rows) {
+  std::sort(rows.begin(), rows.end(), RowBefore);
+  return rows;
+}
+
+void ExpectSameRows(const std::vector<ScoredRow>& actual,
+                    const std::vector<ScoredRow>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].bindings, expected[i].bindings) << "rank " << i;
+    EXPECT_EQ(actual[i].score, expected[i].score) << "rank " << i;
+  }
+}
+
+TEST(KeyTableTest, KeysCollidingInLowBitsAreAllFound) {
+  const std::vector<TermId> keys = CollidingKeys(65);
+  KeyTable table(1);
+  for (size_t i = 0; i + 1 < keys.size(); ++i) {
+    bool inserted = false;
+    EXPECT_EQ(table.Insert(&keys[i], &inserted), i);
+    EXPECT_TRUE(inserted);
+  }
+  ASSERT_LE(table.capacity(), 4096u);  // every key shares one home slot
+  for (size_t i = 0; i + 1 < keys.size(); ++i) {
+    bool inserted = true;
+    EXPECT_EQ(table.Insert(&keys[i], &inserted), i);
+    EXPECT_FALSE(inserted);
+  }
+  bool inserted = false;
+  EXPECT_EQ(table.Insert(&keys.back(), &inserted), keys.size() - 1);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(table.size(), keys.size());
+}
+
+TEST(KeyTableTest, GrowsAcrossRehashesKeepingEveryKey) {
+  KeyTable table(2);
+  int rehashes = 0;
+  size_t capacity = 0;
+  for (TermId i = 0; i < 1000; ++i) {
+    const TermId key[2] = {i, 7 * i + 3};
+    bool inserted = false;
+    ASSERT_EQ(table.Insert(key, &inserted), i);
+    ASSERT_TRUE(inserted);
+    if (table.capacity() != capacity) {
+      if (capacity != 0) ++rehashes;
+      capacity = table.capacity();
+    }
+  }
+  EXPECT_GE(rehashes, 3);
+  for (TermId i = 0; i < 1000; ++i) {
+    const TermId key[2] = {i, 7 * i + 3};
+    bool inserted = true;
+    ASSERT_EQ(table.Insert(key, &inserted), i);
+    EXPECT_FALSE(inserted);
+    EXPECT_EQ(table.key(i)[0], i);
+    EXPECT_EQ(table.key(i)[1], 7 * i + 3);
+  }
+  const TermId absent[2] = {3, 4};
+  bool inserted = false;
+  EXPECT_EQ(table.Insert(absent, &inserted), 1000u);
+  EXPECT_TRUE(inserted);
+}
+
+TEST(KeyTableTest, ZeroWidthKeysAreOneKey) {
+  KeyTable table(0);
+  bool inserted = false;
+  EXPECT_EQ(table.Insert(nullptr, &inserted), 0u);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(table.Insert(nullptr, &inserted), 0u);
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(table.size(), 1u);
+}
+
+TEST(RankJoinTest, CollidingKeysJoinOnlyTheirOwnPartners) {
+  // Join keys that share a home slot, many rows per key on each side and
+  // enough keys to grow the table: every result must still pair equal
+  // keys only.
+  const std::vector<TermId> keys = CollidingKeys(40);
+  std::vector<ScoredRow> left;
+  std::vector<ScoredRow> right;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    for (TermId copy = 0; copy < 3; ++copy) {
+      ScoredRow l(3, 1.0 / static_cast<double>(1 + i + 50 * copy));
+      l.bindings[0] = keys[i];
+      l.bindings[1] = 1000 + copy;
+      left.push_back(std::move(l));
+      ScoredRow r(3, 1.0 / static_cast<double>(2 + 3 * i + copy));
+      r.bindings[0] = keys[i];
+      r.bindings[2] = 2000 + copy;
+      right.push_back(std::move(r));
+    }
+  }
+  left = SortedRows(std::move(left));
+  right = SortedRows(std::move(right));
+  ExecStats stats;
+  ExecContext ctx(&stats);
+  RankJoin join(std::make_unique<VectorIterator>(left),
+                std::make_unique<VectorIterator>(right), {0}, &ctx);
+  const auto rows = Drain(&join);
+  EXPECT_EQ(rows.size(), keys.size() * 9);
+  ExpectSameRows(rows, NaiveJoin(left, right, {0}));
+}
+
+TEST(RankJoinTest, CrossProductMatchesNaiveAllPairs) {
+  std::vector<ScoredRow> left;
+  std::vector<ScoredRow> right;
+  for (TermId i = 0; i < 6; ++i) {
+    ScoredRow l(2, 0.9 - 0.1 * i);
+    l.bindings[0] = 10 + i;
+    left.push_back(std::move(l));
+    ScoredRow r(2, 0.85 - 0.15 * i);
+    r.bindings[1] = 20 + i;
+    right.push_back(std::move(r));
+  }
+  ExecStats stats;
+  ExecContext ctx(&stats);
+  RankJoin join(std::make_unique<VectorIterator>(left),
+                std::make_unique<VectorIterator>(right), {}, &ctx);
+  const auto rows = Drain(&join);
+  EXPECT_EQ(rows.size(), 36u);
+  ExpectSameRows(rows, NaiveJoin(left, right, {}));
+  EXPECT_EQ(stats.join_results, 36u);
+}
+
+TEST(RankJoinTest, ThreeJoinVariablesMatchNaiveJoin) {
+  // The widest join a triple pattern allows: the right side binds three
+  // variables, all already bound on the left.
+  Rng rng(3);
+  std::vector<ScoredRow> left;
+  std::vector<ScoredRow> right;
+  for (int i = 0; i < 60; ++i) {
+    ScoredRow l(5, rng.NextDouble(0.0, 1.0));
+    for (VarId v = 0; v < 3; ++v) {
+      l.bindings[v] = static_cast<TermId>(rng.NextBounded(3));
+    }
+    l.bindings[3] = static_cast<TermId>(100 + i);
+    left.push_back(std::move(l));
+    ScoredRow r(5, rng.NextDouble(0.0, 1.0));
+    for (VarId v = 0; v < 3; ++v) {
+      r.bindings[v] = static_cast<TermId>(rng.NextBounded(3));
+    }
+    right.push_back(std::move(r));
+  }
+  left = SortedRows(std::move(left));
+  right = SortedRows(std::move(right));
+  ExecStats stats;
+  ExecContext ctx(&stats);
+  RankJoin join(std::make_unique<VectorIterator>(left),
+                std::make_unique<VectorIterator>(right), {0, 1, 2}, &ctx);
+  const auto rows = Drain(&join);
+  const auto expected = NaiveJoin(left, right, {0, 1, 2});
+  ASSERT_FALSE(expected.empty());
+  ExpectSameRows(rows, expected);
 }
 
 // --- property: rank join == naive join, top-k prefix -------------------------
@@ -319,7 +490,7 @@ TEST(PullTopKTest, TakesKInOrder) {
   RankJoin join(
       LeftInput({{1, 0.9}, {2, 0.8}, {3, 0.7}}),
       RightInput({{1, 11, 0.9}, {2, 22, 0.8}, {3, 33, 0.7}}), {0}, &ctx);
-  const auto rows = PullTopK(&join, 2, &stats);
+  const auto rows = PullTopK(&join, 2, /*width=*/2, &stats);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_DOUBLE_EQ(rows[0].score, 1.8);
   EXPECT_DOUBLE_EQ(rows[1].score, 1.6);
@@ -330,7 +501,7 @@ TEST(PullTopKTest, FewerThanKResults) {
   ExecContext ctx(&stats);
   RankJoin join(LeftInput({{1, 0.9}}), RightInput({{1, 11, 0.9}}), {0},
                 &ctx);
-  const auto rows = PullTopK(&join, 10, &stats);
+  const auto rows = PullTopK(&join, 10, /*width=*/2, &stats);
   EXPECT_EQ(rows.size(), 1u);
 }
 
