@@ -19,8 +19,6 @@ struct BenchConfig {
   size_t scale = 1;            // XKG/Twitter dataset scale tier (1, 10, ...)
   size_t shards = 4;           // bundle shard count for sharded variants
   size_t admit_batch = 16;     // EngineOptions::admission_max_batch
-  double speculate_threshold = 0.0;  // EngineOptions::speculate_threshold
-  std::string calibration_path;      // EngineOptions::calibration_path
   std::string fault_plan;            // EngineOptions::fault_plan
   bool degraded_reads = false;       // EngineOptions::degraded_reads
 };
@@ -45,10 +43,6 @@ void PrintUsage(const std::string& name) {
                "Submit-driven engines (EngineOptions::admission_max_batch)\n"
                "  --shards N            shard count for sharded-bundle "
                "(SQPBNDL1) bench variants (default 4)\n"
-               "  --speculate-threshold X  plan-racing confidence threshold "
-               "(0 = off; > 1 forces a race whenever a runner-up exists)\n"
-               "  --calibration-path P  estimator correction table fitted by "
-               "scripts/fit_estimator_correction.py\n"
                "  --fault-plan P        deterministic fault-injection plan "
                "(seed=N;site=prob[@max], util/fault_injector.h)\n"
                "  --degraded-reads      serve partial answers from the "
@@ -113,8 +107,6 @@ void ApplyBenchConfig(EngineOptions* options) {
   options->num_threads = g_bench_config.threads;
   options->cache_budget_bytes = g_bench_config.cache_budget_mb * 1024 * 1024;
   options->admission_max_batch = g_bench_config.admit_batch;
-  options->speculate_threshold = g_bench_config.speculate_threshold;
-  options->calibration_path = g_bench_config.calibration_path;
   options->fault_plan = g_bench_config.fault_plan;
   options->degraded_reads = g_bench_config.degraded_reads;
 }
@@ -224,39 +216,6 @@ int BenchMain(int argc, char** argv, const std::string& name, BenchFn run) {
         return 2;
       }
       g_bench_config.admit_batch = static_cast<size_t>(flag_value);
-    } else if (arg == "--speculate-threshold" ||
-               StartsWith(arg, "--speculate-threshold=")) {
-      const char* text = nullptr;
-      if (arg == "--speculate-threshold") {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "%s: --speculate-threshold requires a value\n",
-                       name.c_str());
-          return 2;
-        }
-        text = argv[++i];
-      } else {
-        text = argv[i] + std::strlen("--speculate-threshold=");
-      }
-      char* end = nullptr;
-      const double value = std::strtod(text, &end);
-      if (end == text || *end != '\0' || !(value >= 0.0)) {
-        std::fprintf(stderr,
-                     "%s: --speculate-threshold requires a non-negative "
-                     "number\n",
-                     name.c_str());
-        return 2;
-      }
-      g_bench_config.speculate_threshold = value;
-    } else if (arg == "--calibration-path") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: --calibration-path requires a path\n",
-                     name.c_str());
-        return 2;
-      }
-      g_bench_config.calibration_path = argv[++i];
-    } else if (StartsWith(arg, "--calibration-path=")) {
-      g_bench_config.calibration_path =
-          arg.substr(std::strlen("--calibration-path="));
     } else if (arg == "--fault-plan") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s: --fault-plan requires a plan string\n",
@@ -319,11 +278,6 @@ int BenchMain(int argc, char** argv, const std::string& name, BenchFn run) {
   // delay is the EngineOptions default (no CLI override yet).
   doc.Set("admission_max_batch", g_bench_config.admit_batch);
   doc.Set("admission_max_delay_ms", EngineOptions().admission_max_delay_ms);
-  // Speculation / calibration knobs: racing changes the work profile and a
-  // correction table changes every estimate, so two runs only compare when
-  // these agree (scripts/compare_bench_json.py COMPARABILITY_KEYS).
-  doc.Set("speculate_threshold", g_bench_config.speculate_threshold);
-  doc.Set("calibration_path", g_bench_config.calibration_path);
   // Fault-tolerance knobs: an injection plan perturbs both runtimes and
   // answer counts, and degraded reads change which rows exist at all, so
   // artifacts only compare when these agree — and a run claiming no
@@ -358,43 +312,11 @@ Json ExecStatsToJson(const ExecStats& stats) {
   j.Set("parallel_refill_rounds", stats.parallel_refill_rounds);
   j.Set("blocks_decoded", stats.blocks_decoded);
   j.Set("blocks_skipped", stats.blocks_skipped);
-  j.Set("plans_raced", stats.plans_raced);
-  j.Set("race_wins_by_runnerup", stats.race_wins_by_runnerup);
-  j.Set("speculative_work_wasted_rows", stats.speculative_work_wasted_rows);
-  j.Set("replans_triggered", stats.replans_triggered);
-  j.Set("race_loser_abort_ms", stats.race_loser_abort_ms);
   j.Set("store_faults", stats.store_faults);
   j.Set("shards_failed", stats.shards_failed);
   j.Set("shards_total", stats.shards_total);
   j.Set("plan_ms", stats.plan_ms);
   j.Set("exec_ms", stats.exec_ms);
-  return j;
-}
-
-Json CalibrationLogToJson(const CalibrationLog& log) {
-  Json j = Json::Object();
-  Json patterns = Json::Array();
-  for (const CalibrationPatternRecord& record : log.PatternRecords()) {
-    Json r = Json::Object();
-    r.Set("signature", record.signature);
-    r.Set("estimated_m", record.estimated_m);
-    r.Set("actual_m", record.actual_m);
-    patterns.Push(std::move(r));
-  }
-  Json queries = Json::Array();
-  for (const CalibrationQueryRecord& record : log.QueryRecords()) {
-    Json r = Json::Object();
-    r.Set("estimated_cardinality", record.estimated_cardinality);
-    r.Set("observed_join_results", record.observed_join_results);
-    r.Set("plan", record.plan);
-    r.Set("raced", record.raced);
-    r.Set("runner_up_won", record.runner_up_won);
-    queries.Push(std::move(r));
-  }
-  j.Set("patterns", std::move(patterns));
-  j.Set("queries", std::move(queries));
-  j.Set("dropped", log.dropped());
-  j.Set("capacity", log.capacity());
   return j;
 }
 

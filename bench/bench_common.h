@@ -83,10 +83,6 @@ Json ExecStatsToJson(const ExecStats& stats);
 Json QualityMetricsToJson(const QualityMetrics& metrics);
 Json CacheStatsToJson(const PostingListCache& cache);
 Json BatchStatsToJson(const BatchStats& stats);
-// The engine's calibration log as {"patterns": [...], "queries": [...]} —
-// archived in bench artifacts so scripts/fit_estimator_correction.py can
-// fit correction tables from any run.
-Json CalibrationLogToJson(const CalibrationLog& log);
 
 // The k values evaluated throughout the paper (section 4.4).
 inline constexpr size_t kTopKs[] = {10, 15, 20};

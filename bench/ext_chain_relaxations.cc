@@ -79,11 +79,12 @@ void Run(Json& out) {
   {
     // Chain rules live per domain pattern; collect them via the attribute
     // vocabulary.
-    for (size_t d = 0; d < with_chains.attribute_values.size(); ++d) {
-      for (size_t a = 0; a < with_chains.attribute_values[d].size(); ++a) {
-        for (TermId value : with_chains.attribute_values[d][a]) {
-          const PatternKey key{kInvalidTermId,
-                               with_chains.attribute_predicates[a], value};
+    const XkgSchema& schema = with_chains.schema;
+    for (size_t d = 0; d < schema.attribute_values.size(); ++d) {
+      for (size_t a = 0; a < schema.attribute_values[d].size(); ++a) {
+        for (TermId value : schema.attribute_values[d][a]) {
+          const PatternKey key{kInvalidTermId, schema.attribute_predicates[a],
+                               value};
           for (const ChainRelaxationRule& rule :
                with_chains.rules.ChainRulesFor(key)) {
             SPECQP_CHECK(chains_only.AddChainRule(rule).ok());

@@ -4,7 +4,6 @@
 // BenchMain driver so the timings land in the same JSON artifact format as
 // the figure/table benches.
 
-#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -88,116 +87,6 @@ MicroFixture& Fixture() {
 // the block-skipping comparison.
 MicroFixture& BigFixture() {
   static auto* fx = new MicroFixture(240000, 8, 1);
-  return *fx;
-}
-
-// Adversarial input for the plan_race scenario: kGroups independent
-// 3-pattern star queries (?s p A . ?s p B . ?s p C) whose PLANGEN decision
-// is steered by poisoned catalog statistics, so the planner picks the
-// wrong plan for half of them.
-//
-// Per group, 40 "answer" subjects sit at the tied-top score of A, B, and C
-// simultaneously (answers score exactly 3.0 normalised), A and B hold
-// nothing else, and C carries a 30k-entry slowly-descending filler tail
-// shared with nobody. The plan shapes then cost wildly differently:
-//
-//   {A,B,C}   (no relaxation)  folds A |><| B first: both sides exhaust
-//             after 40 rows, C only needs ~40 pulls before the HRJN corner
-//             bound releases the answers — microseconds.
-//   {B,C|A*}  (A relaxed)      folds B |><| C first: after the 40 matches,
-//             the outer join keeps pulling the inner join (its upper bound
-//             1 + ub_C dominates the merge side's 1.0) until C's 30k tail
-//             is fully drained — milliseconds.
-//
-// A relaxes to R (weight 0.8, non-empty, joins back to the 40 answers), so
-// the runner-up's certificate bound is (3-1) + 0.8 = 2.8 < 3.0: a k-th
-// answer at 3.0 certifies the runner-up bit-identical. Even groups poison
-// A's stats low (the planner wrongly relaxes a perfect pattern -> slow
-// primary, the runner-up must win the race); odd groups poison R's stats
-// to claim it is empty (the planner correctly keeps {A,B,C} -> the
-// runner-up's work is wasted). Speculation pays off on half the workload.
-struct RaceFixture {
-  static constexpr size_t kGroups = 8;
-  static constexpr size_t kAnswers = 40;
-  static constexpr size_t kFillers = 30000;
-  static constexpr size_t kRelaxJunk = 12000;
-
-  TripleStore store;
-  RelaxationIndex rules;
-  std::vector<Query> queries;           // queries[q] is group q's star
-  std::vector<v2::StatsEntry> poison;   // Preload before any planning
-
-  RaceFixture() {
-    Dictionary& dict = store.dict();
-    const TermId p = dict.Intern("rp");
-    for (size_t q = 0; q < kGroups; ++q) {
-      const std::string tag = std::to_string(q);
-      const TermId obj_a = dict.Intern("raceA" + tag);
-      const TermId obj_b = dict.Intern("raceB" + tag);
-      const TermId obj_c = dict.Intern("raceC" + tag);
-      const TermId obj_r = dict.Intern("raceR" + tag);
-      for (size_t i = 0; i < kAnswers; ++i) {
-        const TermId m = dict.Intern("m" + tag + "_" + std::to_string(i));
-        store.AddEncoded(m, p, obj_a, 1000.0);
-        store.AddEncoded(m, p, obj_b, 1000.0);
-        store.AddEncoded(m, p, obj_c, 1000.0);
-        store.AddEncoded(m, p, obj_r, 1000.0);
-      }
-      for (size_t j = 0; j < kFillers; ++j) {
-        const TermId f = dict.Intern("cf" + tag + "_" + std::to_string(j));
-        const double score =
-            990.0 - 790.0 * static_cast<double>(j) /
-                        static_cast<double>(kFillers - 1);
-        store.AddEncoded(f, p, obj_c, score);
-      }
-      for (size_t j = 0; j < kRelaxJunk; ++j) {
-        const TermId f = dict.Intern("rf" + tag + "_" + std::to_string(j));
-        store.AddEncoded(f, p, obj_r, 1000.0);
-      }
-
-      RelaxationRule rule;
-      rule.from = PatternKey{kInvalidTermId, p, obj_a};
-      rule.to = PatternKey{kInvalidTermId, p, obj_r};
-      rule.weight = 0.8;
-      (void)rules.AddRule(rule);
-
-      if (q % 2 == 0) {
-        // Planner-wrong group: A's matches look like junk (mean score
-        // ~0.1), so E_Q(k) collapses and relaxing A through the juicy R
-        // wins the comparison — against a pattern that is actually perfect.
-        poison.push_back(v2::StatsEntry{kInvalidTermId, p, obj_a, 0,
-                                        kAnswers, 0.1, 3.2, 4.0});
-      } else {
-        // Planner-right group: a stale snapshot row claims R is empty, so
-        // E_Q'(1) is 0 and the planner keeps the (genuinely best)
-        // unrelaxed join. The two-bucket model cannot express "non-empty
-        // but uniformly low-scored" — its head bucket always reaches the
-        // normalised ceiling — so an empty-claiming row is the one stats
-        // shape that deterministically suppresses the relaxation.
-        poison.push_back(v2::StatsEntry{kInvalidTermId, p, obj_r, 0,
-                                        0, 0.0, 0.0, 0.0});
-      }
-
-      Query query;
-      const VarId s = query.GetOrAddVariable("s");
-      query.AddPattern(TriplePattern(PatternTerm::Var(s),
-                                     PatternTerm::Const(p),
-                                     PatternTerm::Const(obj_a)));
-      query.AddPattern(TriplePattern(PatternTerm::Var(s),
-                                     PatternTerm::Const(p),
-                                     PatternTerm::Const(obj_b)));
-      query.AddPattern(TriplePattern(PatternTerm::Var(s),
-                                     PatternTerm::Const(p),
-                                     PatternTerm::Const(obj_c)));
-      query.AddProjection(s);
-      queries.push_back(std::move(query));
-    }
-    store.Finalize();
-  }
-};
-
-RaceFixture& RaceFix() {
-  static auto* fx = new RaceFixture();
   return *fx;
 }
 
@@ -545,111 +434,6 @@ void Run(Json& out) {
           DoNotOptimize(result.rows.data());
         }));
     if (speculative) out.Set("cache", CacheStatsToJson(engine.postings()));
-  }
-
-  {
-    // plan_race: end-to-end latency with speculation off vs on over the
-    // adversarial RaceFixture (planner wrong on half the groups; see the
-    // fixture comment). Per-query latencies are collected individually —
-    // RunMicro's mean would bury the point, which lives in the tail: the
-    // planner-wrong groups are ~100x slower than the rest, so p99 tracks
-    // them and racing the runner-up pulls p99 down to the fast plan plus
-    // race overhead. Wasted work (the losers' discarded answer objects) is
-    // the price, reported as a fraction of all speculative answer objects.
-    RaceFixture& rf = RaceFix();
-    const size_t k = 10;
-    const int reps = 20;
-    const int threads = 2;  // minimum for a race: the two plans time-share
-
-    const auto make_engine = [&](double threshold) {
-      EngineOptions opts = MakeEngineOptions();
-      opts.num_threads = threads;
-      opts.speculate_threshold = threshold;
-      auto engine = std::make_unique<Engine>(&rf.store, &rf.rules, opts);
-      // Poison before the first planner touch: Preload only inserts
-      // entries the catalog has not computed yet.
-      engine->catalog().Preload(rf.poison);
-      for (const Query& query : rf.queries) engine->Warm(query);
-      return engine;
-    };
-    const auto measure = [&](Engine& engine, ExecStats* total) {
-      std::vector<double> ms;
-      ms.reserve(static_cast<size_t>(reps) * rf.queries.size());
-      for (int r = 0; r < reps; ++r) {
-        for (const Query& query : rf.queries) {
-          WallTimer timer;
-          const auto result = RunQuery(engine, query, k, Strategy::kSpecQp);
-          ms.push_back(timer.ElapsedMillis());
-          *total += result.stats;
-          DoNotOptimize(result.rows.data());
-        }
-      }
-      std::sort(ms.begin(), ms.end());
-      return ms;
-    };
-    const auto pct = [](const std::vector<double>& sorted, double p) {
-      const size_t index = static_cast<size_t>(
-          p * static_cast<double>(sorted.size() - 1) + 0.5);
-      return sorted[index];
-    };
-
-    auto off = make_engine(0.0);
-    ExecStats off_total;
-    const std::vector<double> off_ms = measure(*off, &off_total);
-    auto on = make_engine(2.0);  // > 1: race whenever a runner-up exists
-    ExecStats on_total;
-    const std::vector<double> on_ms = measure(*on, &on_total);
-
-    const double wasted = static_cast<double>(
-        on_total.speculative_work_wasted_rows);
-    const double useful = static_cast<double>(on_total.answer_objects);
-    const double wasted_fraction =
-        wasted > 0.0 ? wasted / (wasted + useful) : 0.0;
-    const double p50_off = pct(off_ms, 0.50), p99_off = pct(off_ms, 0.99);
-    const double p50_on = pct(on_ms, 0.50), p99_on = pct(on_ms, 0.99);
-
-    std::printf(
-        "plan race (%zu queries x %d reps, k=%zu, %d threads): p50 "
-        "%.3f -> %.3f ms, p99 %.3f -> %.3f ms (%.2fx); %llu raced, "
-        "%llu runner-up wins, wasted-work fraction %.2f\n",
-        rf.queries.size(), reps, k, threads, p50_off, p50_on, p99_off,
-        p99_on, p99_on > 0.0 ? p99_off / p99_on : 0.0,
-        static_cast<unsigned long long>(on_total.plans_raced),
-        static_cast<unsigned long long>(on_total.race_wins_by_runnerup),
-        wasted_fraction);
-
-    Json& race = out.Set("plan_race", Json::Object());
-    race.Set("queries", rf.queries.size());
-    race.Set("reps", reps);
-    race.Set("k", k);
-    race.Set("threads", threads);
-    race.Set("p50_ms_speculation_off", p50_off);
-    race.Set("p99_ms_speculation_off", p99_off);
-    race.Set("p50_ms_speculation_on", p50_on);
-    race.Set("p99_ms_speculation_on", p99_on);
-    race.Set("p99_speedup", p99_on > 0.0 ? p99_off / p99_on : 0.0);
-    race.Set("plans_raced", on_total.plans_raced);
-    race.Set("race_wins_by_runnerup", on_total.race_wins_by_runnerup);
-    race.Set("speculative_work_wasted_rows",
-             on_total.speculative_work_wasted_rows);
-    race.Set("replans_triggered", on_total.replans_triggered);
-    race.Set("race_loser_abort_ms_total", on_total.race_loser_abort_ms);
-    race.Set("wasted_work_fraction", wasted_fraction);
-    // The speculating engine's calibration log: feed these records to
-    // scripts/fit_estimator_correction.py to close the estimation loop
-    // (the poisoned classes fit multipliers far from 1.0).
-    out.Set("calibration", CalibrationLogToJson(on->calibration_log()));
-
-    for (const bool speculation_on : {false, true}) {
-      const std::vector<double>& ms = speculation_on ? on_ms : off_ms;
-      MicroResult r;
-      r.name = StrFormat("plan_race/speculation:%s",
-                         speculation_on ? "on" : "off");
-      r.iterations = ms.size();
-      for (double m : ms) r.total_ms += m;
-      r.ns_per_iter = r.total_ms * 1e6 / static_cast<double>(ms.size());
-      results.push_back(std::move(r));
-    }
   }
 
   const std::vector<int> widths = {38, 12, 14, 16};

@@ -408,20 +408,12 @@ class Shell {
       }
       std::printf("\n");
     }
-    // Speculation preview: the plan-level confidence is the least
-    // confident contested decision; an engine with speculate_threshold
-    // above it would race the runner-up (that decision flipped).
+    // The plan-level confidence is the least confident contested decision.
     const PlanDiagnostics& diag = response.diagnostics;
-    if (strategy == Strategy::kSpecQp && diag.has_runner_up) {
-      std::printf(
-          "  plan confidence %s (least confident: q%d); race candidates:\n"
-          "    primary   %s   est. cost %s\n"
-          "    runner-up %s   est. cost %s\n",
-          DoubleToString(diag.plan_confidence, 3).c_str(),
-          diag.least_confident_pattern, response.plan.ToString().c_str(),
-          DoubleToString(diag.primary_cost_estimate, 0).c_str(),
-          diag.runner_up.ToString().c_str(),
-          DoubleToString(diag.runner_up_cost_estimate, 0).c_str());
+    if (strategy == Strategy::kSpecQp && diag.least_confident_pattern >= 0) {
+      std::printf("  plan confidence %s (least confident: q%d)\n",
+                  DoubleToString(diag.plan_confidence, 3).c_str(),
+                  diag.least_confident_pattern);
     }
   }
 

@@ -27,13 +27,13 @@ int main() {
               data.store.size(), data.rules.total_rules());
 
   // Take the two hottest tags of the hottest topic.
-  const TermId tag_a = data.topic_tags[0][0];
-  const TermId tag_b = data.topic_tags[0][1];
+  const TermId tag_a = data.schema.topic_tags[0][0];
+  const TermId tag_b = data.schema.topic_tags[0][1];
   std::printf("relaxations for <%s>:\n",
               std::string(data.store.dict().Name(tag_a)).c_str());
   size_t shown = 0;
   for (const RelaxationRule& rule : data.rules.RulesFor(
-           PatternKey{kInvalidTermId, data.has_tag, tag_a})) {
+           PatternKey{kInvalidTermId, data.schema.has_tag, tag_a})) {
     std::printf("  %s\n", RuleToString(rule, data.store.dict()).c_str());
     if (++shown >= 5) break;
   }
@@ -41,10 +41,10 @@ int main() {
   Query query;
   const VarId s = query.GetOrAddVariable("tweet");
   query.AddPattern(TriplePattern(PatternTerm::Var(s),
-                                 PatternTerm::Const(data.has_tag),
+                                 PatternTerm::Const(data.schema.has_tag),
                                  PatternTerm::Const(tag_a)));
   query.AddPattern(TriplePattern(PatternTerm::Var(s),
-                                 PatternTerm::Const(data.has_tag),
+                                 PatternTerm::Const(data.schema.has_tag),
                                  PatternTerm::Const(tag_b)));
   query.AddProjection(s);
   std::printf("\nquery: %s\n", query.ToString(data.store.dict()).c_str());

@@ -24,12 +24,6 @@ Regression rules (exit 1 on any hit):
     workload, so a collapse to zero means a change severed the max-score/
     skip path (e.g. an operator stopped consulting block headers), even
     if runtimes still look fine,
-  * vacuous racing: if the head artifact raced plans at all (summed
-    ``plans_raced`` > 0) but the runner-up never won a single race
-    (summed ``race_wins_by_runnerup`` == 0), the gate fails — a race the
-    runner-up cannot win is pure overhead, which means either the
-    certificate gate is broken (never certifies) or the race scenario
-    stopped exercising planner mistakes,
   * fault-free consistency: a head artifact produced without a
     ``fault_plan`` must report zero ``store_faults``, ``shards_failed``,
     and shed counters everywhere — a healthy run that degrades or sheds
@@ -37,13 +31,19 @@ Regression rules (exit 1 on any hit):
     their ``fault_plan`` / ``degraded_reads`` knobs agree (injection
     perturbs runtimes and answer counts by design).
 
+Metrics present in the base but absent from the head (a retired
+scenario, e.g. the ``plan_race`` rows of artifacts from before plan racing
+was removed) are reported as ``missing in head`` notes, never as failures.
+
 ``--self-test`` builds a synthetic artifact pair, injects a 30% runtime
 regression and an answer-count drop, and asserts the comparison fails —
 the CI job runs it on every push so the gate itself is exercised.
 """
 
 import argparse
+import contextlib
 import copy
+import io
 import json
 import sys
 
@@ -75,7 +75,6 @@ NONZERO_KEYS = {"blocks_skipped"}
 COMPARABILITY_KEYS = ("bench", "schema_version", "threads", "cache_budget_mb",
                       "batch_mode", "scale", "shard_count",
                       "admission_max_batch", "admission_max_delay_ms",
-                      "speculate_threshold", "calibration_path",
                       "fault_plan", "degraded_reads")
 
 # Counters that must be zero everywhere in an artifact produced WITHOUT a
@@ -168,21 +167,9 @@ def compare(base_doc, head_doc, max_regression):
             elif ratio < 1.0 - max_regression:
                 notes.append(f"{path}: improved {1.0 / ratio:.2f}x")
 
-    # Vacuous racing: a head that launches races the runner-up can never
-    # win burns speculative work for nothing. Summed over every
-    # plans_raced/race_wins_by_runnerup leaf of the head artifact alone (a
-    # self-consistency check, not a base-vs-head delta).
-    raced = sum(v for p, v in head.items()
-                if p.rsplit(".", 1)[-1] == "plans_raced")
-    runner_up_wins = sum(v for p, v in head.items()
-                         if p.rsplit(".", 1)[-1] == "race_wins_by_runnerup")
-    if raced > 0 and runner_up_wins == 0:
-        errors.append(f"vacuous racing: head raced {raced} plans but the "
-                      "runner-up won 0 races")
-
     # No-fault artifacts must be fault-free: with an empty fault plan the
-    # degraded-read and shedding machinery must never have engaged (another
-    # head-only self-consistency check).
+    # degraded-read and shedding machinery must never have engaged (a
+    # head-only self-consistency check, not a base-vs-head delta).
     if not head_doc.get("fault_plan"):
         for counter in sorted(FAULT_ARTIFACT_KEYS):
             # A "fault_scenarios" subtree is a deliberate injected-failure
@@ -218,12 +205,8 @@ def self_test():
              "trinit_answers": 40, "spec_answers": 40},
         ]}],
         "block_skipping": {"blocks_decoded": 2, "blocks_skipped": 948},
-        "speculate_threshold": 2.0,
-        "calibration_path": "",
         "fault_plan": "",
         "degraded_reads": False,
-        "plan_race": {"plans_raced": 80, "race_wins_by_runnerup": 17,
-                      "speculative_work_wasted_rows": 1200},
         "loads": [{"name": "bundle_mmap_lazy", "load_ms": 12.0,
                    "store_faults": 0, "shards_failed": 0,
                    "shards_total": 4}],
@@ -272,31 +255,29 @@ def self_test():
     errors, _, _ = compare(base, fewer_skips, 0.20)
     assert not errors, f"reduced-but-nonzero skips must pass: {errors}"
 
-    # Vacuous racing in the head fails even against an identical base: a
-    # race the runner-up never wins is overhead with no payoff (broken
-    # certificate gate or a dead race scenario). Zero races stay fine —
-    # speculation off is a legitimate configuration.
-    vacuous = copy.deepcopy(base)
-    vacuous["plan_race"]["race_wins_by_runnerup"] = 0
-    errors, _, _ = compare(vacuous, vacuous, 0.20)
-    assert any("vacuous racing" in e for e in errors), \
-        f"raced>0 with 0 runner-up wins must fail, got: {errors}"
-    no_racing = copy.deepcopy(base)
-    no_racing["plan_race"]["plans_raced"] = 0
-    no_racing["plan_race"]["race_wins_by_runnerup"] = 0
-    errors, _, _ = compare(no_racing, no_racing, 0.20)
-    assert not errors, f"speculation-off artifacts must pass: {errors}"
+    # A base from before plan racing was retired (plan_race object and
+    # benchmark rows) against a head without them: the vanished metrics
+    # are notes and the gate exits 0.
+    pre_retire = copy.deepcopy(base)
+    pre_retire["plan_race"] = {"plans_raced": 80, "race_wins_by_runnerup": 0,
+                               "speculative_work_wasted_rows": 1200}
+    pre_retire["benchmarks"].append(
+        {"name": "plan_race/speculation:on", "ns_per_iter": 5.0e6})
+    errors, notes, not_comparable = compare(pre_retire, base, 0.20)
+    assert not errors and not not_comparable, \
+        f"retired plan_race rows must not fail the gate: {errors}"
+    assert any(n.startswith("missing in head: plan_race.") for n in notes) \
+        and any("plan_race/speculation:on" in n for n in notes), \
+        f"retired plan_race rows must be noted as missing, got: {notes}"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert report(pre_retire, base, 0.20) == 0
 
     # Mismatched knobs are an operator error (exit 2 path) — including the
-    # scale tier, the admission-window knobs, and the speculation /
-    # calibration configuration (racing changes the work profile, a
-    # correction table changes every estimate).
+    # scale tier and the admission-window knobs.
     for knob, other_value in (("threads", 8), ("scale", 10),
                               ("shard_count", 8),
                               ("admission_max_batch", 1),
                               ("admission_max_delay_ms", 0.0),
-                              ("speculate_threshold", 0.0),
-                              ("calibration_path", "corrections.tsv"),
                               ("fault_plan", "seed=7;shard.read=0.01"),
                               ("degraded_reads", True)):
         other_knobs = copy.deepcopy(base)
@@ -338,19 +319,17 @@ def self_test():
     # A knob absent on one side (older artifact schema) stays comparable.
     legacy = copy.deepcopy(base)
     for knob in ("scale", "shard_count", "admission_max_batch",
-                 "admission_max_delay_ms", "speculate_threshold",
-                 "calibration_path"):
+                 "admission_max_delay_ms"):
         del legacy[knob]
-    del legacy["plan_race"]
     errors, _, not_comparable = compare(legacy, base, 0.20)
     assert not errors and not not_comparable, \
         f"absent knobs must stay comparable: {errors}"
 
     print("self-test OK: gate passes identical/jittered artifacts, fails on "
-          "injected runtime, answer-count, skip-collapse, vacuous-racing, "
-          "and fault-leak regressions, rejects mismatched knobs (incl. "
-          "scale, shard count, admission window, speculation/calibration, "
-          "and fault plan)")
+          "injected runtime, answer-count, skip-collapse and fault-leak "
+          "regressions, notes retired plan_race rows, rejects mismatched "
+          "knobs (incl. scale, shard count, admission window and fault "
+          "plan)")
     return 0
 
 
@@ -373,9 +352,13 @@ def main():
         base_doc = json.load(f)
     with open(args.head, encoding="utf-8") as f:
         head_doc = json.load(f)
+    return report(base_doc, head_doc, args.max_regression)
 
+
+def report(base_doc, head_doc, max_regression):
+    """Prints the comparison and returns the process exit code."""
     errors, notes, not_comparable = compare(base_doc, head_doc,
-                                            args.max_regression)
+                                            max_regression)
     base_sha = base_doc.get("git_sha", "unknown")
     head_sha = head_doc.get("git_sha", "unknown")
     print(f"comparing {base_doc.get('bench')} artifacts: "
@@ -389,7 +372,7 @@ def main():
         for error in errors:
             print(f"REGRESSION: {error}", file=sys.stderr)
         print(f"{len(errors)} regression(s) beyond "
-              f"{args.max_regression:.0%} tolerance", file=sys.stderr)
+              f"{max_regression:.0%} tolerance", file=sys.stderr)
         return 1
     print("no regressions beyond tolerance")
     return 0

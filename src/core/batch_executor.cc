@@ -134,19 +134,8 @@ std::vector<Engine::QueryResult> BatchExecutor::Execute(
   for (const size_t slot : rep_slot) {
     Engine::QueryResult& result = results[slot];
     WallTimer plan_timer;
-    switch (strategy) {
-      case Strategy::kSpecQp:
-        result.plan =
-            engine_->planner_.Plan(queries[slot], k, &result.diagnostics);
-        break;
-      case Strategy::kTrinit:
-        result.plan = QueryPlan::TrinitPlan(queries[slot].num_patterns());
-        break;
-      case Strategy::kNoRelax:
-        result.plan =
-            QueryPlan::NoRelaxationsPlan(queries[slot].num_patterns());
-        break;
-    }
+    result.plan =
+        engine_->PlanFor(queries[slot], strategy, k, &result.diagnostics);
     result.stats.plan_ms = plan_timer.ElapsedMillis();
   }
   bs.plan_ms = plan_phase_timer.ElapsedMillis();

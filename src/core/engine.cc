@@ -64,9 +64,7 @@ Engine::Engine(const TripleStore* store, const RelaxationIndex* rules,
                  options.grid_delta),
       planner_(&estimator_, rules),
       executor_(store, &postings_, rules,
-                PlanExecutor::Options{options.parallel_min_rows}),
-      speculative_(&executor_, &postings_, rules, &estimator_),
-      calibration_log_(options.calibration_log_capacity) {
+                PlanExecutor::Options{options.parallel_min_rows}) {
   SPECQP_CHECK(store_ != nullptr && rules_ != nullptr);
   SPECQP_CHECK(store_->finalized()) << "Engine requires a finalized store";
   if (!options_.fault_plan.empty()) {
@@ -78,12 +76,6 @@ Engine::Engine(const TripleStore* store, const RelaxationIndex* rules,
       SPECQP_LOG(Warning) << "ignoring malformed fault plan: "
                           << configured.ToString();
     }
-  }
-  if (!options_.calibration_path.empty()) {
-    // Before the first GetStats, so every estimate this engine ever makes
-    // is corrected consistently (including OpenFromPath's Preload, which
-    // runs after construction and corrects on the way in).
-    catalog_.LoadCalibration(options_.calibration_path);
   }
 }
 
@@ -198,17 +190,8 @@ QueryResponse Engine::Explain(const QueryRequest& request) {
   }
 
   WallTimer plan_timer;
-  switch (request.strategy) {
-    case Strategy::kSpecQp:
-      response.plan = planner_.Plan(*query, request.k, &response.diagnostics);
-      break;
-    case Strategy::kTrinit:
-      response.plan = QueryPlan::TrinitPlan(query->num_patterns());
-      break;
-    case Strategy::kNoRelax:
-      response.plan = QueryPlan::NoRelaxationsPlan(query->num_patterns());
-      break;
-  }
+  response.plan =
+      PlanFor(*query, request.strategy, request.k, &response.diagnostics);
   response.stats.plan_ms = plan_timer.ElapsedMillis();
   return response;
 }
@@ -347,60 +330,23 @@ void Engine::RunQuery(const Query& query, const QueryRequest& request,
       interrupt != nullptr ? &InterruptStopProbe : nullptr, interrupt);
 
   WallTimer plan_timer;
-  switch (request.strategy) {
-    case Strategy::kSpecQp:
-      response->plan =
-          planner_.Plan(query, request.k, &response->diagnostics);
-      break;
-    case Strategy::kTrinit:
-      response->plan = QueryPlan::TrinitPlan(query.num_patterns());
-      break;
-    case Strategy::kNoRelax:
-      response->plan = QueryPlan::NoRelaxationsPlan(query.num_patterns());
-      break;
-  }
+  response->plan =
+      PlanFor(query, request.strategy, request.k, &response->diagnostics);
   response->stats.plan_ms = plan_timer.ElapsedMillis();
 
   WallTimer exec_timer;
   ThreadPool* pool =
       request.serial.value_or(false) ? nullptr : pool_.get();
-  const AdaptivePolicy adaptive{options_.replan_divergence_factor,
-                                options_.replan_check_rows};
-  RaceReport race;
-  QueryPlan executed_plan = response->plan;
-
-  // Plan racing: only the Spec-QP strategy produces a runner-up (the
-  // primary with its least-confident PLANGEN decision flipped), and a race
-  // needs the pool to time-share.
-  const PlanDiagnostics& diag = response->diagnostics;
-  const bool race_now = pool != nullptr &&
-                        request.strategy == Strategy::kSpecQp &&
-                        options_.speculate_threshold > 0.0 &&
-                        diag.has_runner_up && diag.least_confident_pattern >= 0 &&
-                        diag.plan_confidence < options_.speculate_threshold;
-  if (race_now) {
-    const double bound = speculative_.CertificateBound(
-        query, static_cast<size_t>(diag.least_confident_pattern));
-    response->rows = speculative_.Race(query, request, response->plan,
-                                       diag.runner_up, bound, adaptive, pool,
-                                       &response->stats, &race, &executed_plan);
-  } else {
-    ExecContext ctx(&response->stats, pool, /*shared_scans=*/nullptr,
-                    interrupt);
-    if (request.parallel_min_rows.has_value()) {
-      ctx.set_parallel_min_rows_override(*request.parallel_min_rows);
-    }
-    if (adaptive.enabled()) {
-      response->rows = speculative_.RunAdaptive(
-          query, response->plan, request.k, adaptive, &ctx, &executed_plan);
-    } else {
-      auto root = executor_.Build(query, response->plan, &ctx);
-      response->rows = PullTopK(root.get(), request.k, query.num_vars(),
-                                &response->stats);
-      root.reset();  // partition trees die before their contexts merge
-    }
-    ctx.MergePartitionStats();
+  ExecContext ctx(&response->stats, pool, /*shared_scans=*/nullptr,
+                  interrupt);
+  if (request.parallel_min_rows.has_value()) {
+    ctx.set_parallel_min_rows_override(*request.parallel_min_rows);
   }
+  auto root = executor_.Build(query, response->plan, &ctx);
+  response->rows =
+      PullTopK(root.get(), request.k, query.num_vars(), &response->stats);
+  root.reset();  // partition trees die before their contexts merge
+  ctx.MergePartitionStats();
   response->stats.exec_ms = exec_timer.ElapsedMillis();
 
   if (interrupt != nullptr &&
@@ -420,30 +366,20 @@ void Engine::RunQuery(const Query& query, const QueryRequest& request,
             Status::DeadlineExceeded("query deadline exceeded");
         break;
     }
-    return;
   }
+}
 
-  // Calibration loop: record what the planner believed against what the
-  // posting lists actually held (only for completed executions — an
-  // aborted run's observations are censored). The pattern records feed
-  // scripts/fit_estimator_correction.py; estimated_m is post-correction,
-  // so a fitted table converging to 1.0 multipliers means the loop closed.
-  for (const TriplePattern& q : query.patterns()) {
-    const PatternKey key = q.Key();
-    CalibrationPatternRecord record;
-    record.signature = PatternSignature(*store_, key);
-    record.estimated_m = estimator_.PatternCardinality(key);
-    record.actual_m =
-        static_cast<double>(postings_.GetUncounted(key)->size());
-    calibration_log_.RecordPattern(std::move(record));
+QueryPlan Engine::PlanFor(const Query& query, Strategy strategy, size_t k,
+                          PlanDiagnostics* diagnostics) {
+  switch (strategy) {
+    case Strategy::kSpecQp:
+      return planner_.Plan(query, k, diagnostics);
+    case Strategy::kTrinit:
+      return QueryPlan::TrinitPlan(query.num_patterns());
+    case Strategy::kNoRelax:
+      break;
   }
-  CalibrationQueryRecord summary;
-  summary.estimated_cardinality = response->diagnostics.cardinality_estimate;
-  summary.observed_join_results = response->rows.size();
-  summary.plan = executed_plan.ToString();
-  summary.raced = race.raced;
-  summary.runner_up_won = race.runner_up_won;
-  calibration_log_.RecordQuery(std::move(summary));
+  return QueryPlan::NoRelaxationsPlan(query.num_patterns());
 }
 
 QueryPlan Engine::PlanOnly(const Query& query, size_t k,

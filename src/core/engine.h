@@ -17,7 +17,6 @@
 #include "core/planner.h"
 #include "core/query_plan.h"
 #include "core/request.h"
-#include "core/speculation.h"
 #include "query/query.h"
 #include "rdf/mmap_store.h"
 #include "rdf/posting_list.h"
@@ -76,31 +75,6 @@ struct EngineOptions {
   // cross-request batching off (every Submit dispatches alone).
   size_t admission_max_batch = 16;
   double admission_max_delay_ms = 2.0;
-  // Speculative plan racing (core/speculation.h): when PLANGEN's
-  // plan-level confidence falls below this threshold, the primary plan and
-  // the runner-up race on the engine pool and the first usable result
-  // wins. 0 (default) disables racing; confidence lives in [0, 1], so any
-  // threshold > 1 forces a race whenever a runner-up exists. Requires
-  // num_threads >= 2 (a race needs a pool to share); answers are identical
-  // with racing on or off — the certificate gate makes the runner-up's
-  // result usable only when it provably matches the primary's.
-  double speculate_threshold = 0.0;
-  // Mid-query re-planning: once a leaf operator has emitted more than this
-  // factor times its estimated cardinality, the (serial) execution stops,
-  // re-orders the plan by actual posting sizes, and restarts on the warm
-  // caches — at most once per execution. Values <= 1 disable adaptivity.
-  double replan_divergence_factor = 0.0;
-  // Cadence of the divergence checkpoints, in interrupt polls (roughly a
-  // small multiple of rows pulled).
-  uint64_t replan_check_rows = 4096;
-  // Estimate-calibration loop (stats/calibration.h): path of a correction
-  // table fitted by scripts/fit_estimator_correction.py, loaded into the
-  // statistics catalog at construction (empty = uncalibrated; a missing
-  // file is treated as empty). Every execution also appends to the
-  // engine's in-memory CalibrationLog, bounded by calibration_log_capacity
-  // records per kind.
-  std::string calibration_path;
-  size_t calibration_log_capacity = 4096;
   // Engine::OpenFromPath only: memory-map v2/v3 store files (zero-copy
   // MmapStore view, O(ms) open) instead of parsing them into an owned
   // store. v1 files always parse. Answers are identical either way; only
@@ -254,10 +228,6 @@ class Engine {
   const RelaxationIndex& rules() const { return *rules_; }
   PostingListCache& postings() { return postings_; }
   StatisticsCatalog& catalog() { return catalog_; }
-  // The engine's calibration log: every completed execution appends its
-  // (estimate, actual) observations here; bench runs dump it into their
-  // --json artifacts for scripts/fit_estimator_correction.py.
-  const CalibrationLog& calibration_log() const { return calibration_log_; }
   SelectivityEstimator& selectivity() { return selectivity_; }
   const EngineOptions& options() const { return options_; }
   // Resolved execution concurrency (>= 1); the pool is shared by every
@@ -273,6 +243,10 @@ class Engine {
   // submit-time checks, plan, execute with the request's interrupt and
   // overrides, and translate an abort into the terminal status.
   QueryResponse ExecuteRequest(QueryRequest request);
+  // The plan `strategy` runs `query` with: PLANGEN for kSpecQp (filling
+  // `diagnostics`), the static TriniT / no-relaxation shapes otherwise.
+  QueryPlan PlanFor(const Query& query, Strategy strategy, size_t k,
+                    PlanDiagnostics* diagnostics);
   // Plans and executes one resolved query into `response` (which already
   // carries the request echo). `interrupt` may be null.
   void RunQuery(const Query& query, const QueryRequest& request,
@@ -306,8 +280,6 @@ class Engine {
   ExpectedScoreEstimator estimator_;
   Planner planner_;
   PlanExecutor executor_;
-  SpeculativeExecutor speculative_;
-  CalibrationLog calibration_log_;
 
   // Highest store fault epoch this engine has reconciled its caches with
   // (posting lists + statistics built against a retired shard set are

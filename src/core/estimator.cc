@@ -55,10 +55,6 @@ ExpectedScoreEstimator::ComputeConfidence(const Estimate& original,
   return confidence;
 }
 
-double ExpectedScoreEstimator::PatternCardinality(const PatternKey& key) {
-  return static_cast<double>(catalog_->GetStats(key).m);
-}
-
 ExpectedScoreEstimator::Estimate ExpectedScoreEstimator::EstimateQuery(
     const Query& query, const std::vector<double>& weights) {
   const auto& patterns = query.patterns();

@@ -65,8 +65,8 @@ class ExpectedScoreEstimator {
     // sub-bucket interpolation the histogram cannot actually resolve.
     bool bucket_disagreement = false;
 
-    // The scalar the speculation threshold is compared against: the margin,
-    // halved when the comparison sits below the model's bucket resolution.
+    // The decision's confidence: the margin, halved when the comparison
+    // sits below the model's bucket resolution.
     double Confidence() const {
       return bucket_disagreement ? margin * 0.5 : margin;
     }
@@ -77,11 +77,6 @@ class ExpectedScoreEstimator {
   static DecisionConfidence ComputeConfidence(const Estimate& original,
                                               double eq_prime_top,
                                               double eq_k);
-
-  // The catalog's estimated match count m for one pattern (after any
-  // calibration correction) — the unit of the planner's per-plan read-cost
-  // estimates and of the adaptive executor's divergence checkpoints.
-  double PatternCardinality(const PatternKey& key);
 
   Model model() const { return model_; }
 

@@ -131,14 +131,7 @@ VarId PlanExecutor::CommonJoinVariable(const Query& query) {
 std::unique_ptr<ScoredRowIterator> PlanExecutor::Build(const Query& query,
                                                        const QueryPlan& plan,
                                                        ExecContext* ctx) {
-  return Build(query, plan, ctx, nullptr);
-}
-
-std::unique_ptr<ScoredRowIterator> PlanExecutor::Build(
-    const Query& query, const QueryPlan& plan, ExecContext* ctx,
-    std::vector<LeafHandle>* leaves) {
   SPECQP_CHECK(ctx != nullptr);
-  if (leaves != nullptr) leaves->clear();
   SPECQP_CHECK(plan.join_group.size() + plan.singletons.size() ==
                query.num_patterns())
       << "plan does not cover the query";
@@ -165,7 +158,7 @@ std::unique_ptr<ScoredRowIterator> PlanExecutor::Build(
       }
     }
   }
-  if (num_partitions < 2) return BuildTree(query, plan, ctx, nullptr, leaves);
+  if (num_partitions < 2) return BuildTree(query, plan, ctx, nullptr);
 
   PartitionView::PieceMemo memo;
   std::vector<std::unique_ptr<ScoredRowIterator>> roots;
@@ -178,7 +171,7 @@ std::unique_ptr<ScoredRowIterator> PlanExecutor::Build(
     view.postings = postings_;
     view.memo = &memo;
     roots.push_back(
-        BuildTree(query, plan, ctx->ForPartition(), &view, nullptr));
+        BuildTree(query, plan, ctx->ForPartition(), &view));
   }
   ctx->stats()->parallel_partitions += num_partitions;
   return std::make_unique<ParallelRankJoin>(std::move(roots), ctx,
@@ -187,7 +180,7 @@ std::unique_ptr<ScoredRowIterator> PlanExecutor::Build(
 
 std::unique_ptr<ScoredRowIterator> PlanExecutor::BuildTree(
     const Query& query, const QueryPlan& plan, ExecContext* ctx,
-    const PartitionView* view, std::vector<LeafHandle>* leaves) {
+    const PartitionView* view) {
   // Chain relaxations bind a fresh intermediate variable each; those get
   // trailing binding slots beyond the query's own variables (cleared again
   // by a projection before the chain's rows reach the merge, so the extra
@@ -221,11 +214,7 @@ std::unique_ptr<ScoredRowIterator> PlanExecutor::BuildTree(
   std::vector<Unit> group_units;
   for (size_t i : plan.join_group) {
     const TriplePattern& q = query.pattern(i);
-    auto scan = make_scan(q, 1.0);
-    if (leaves != nullptr) {
-      leaves->push_back(LeafHandle{i, /*singleton=*/false, scan.get()});
-    }
-    group_units.push_back(Unit{std::move(scan), PatternBound(q, width)});
+    group_units.push_back(Unit{make_scan(q, 1.0), PatternBound(q, width)});
   }
 
   // Singleton units: incremental merges over pattern + relaxations.
@@ -255,11 +244,9 @@ std::unique_ptr<ScoredRowIterator> PlanExecutor::BuildTree(
       inputs.push_back(std::make_unique<ProjectIterator>(
           std::move(join), std::vector<VarId>{fresh}));
     }
-    auto merge = std::make_unique<IncrementalMerge>(std::move(inputs), ctx);
-    if (leaves != nullptr) {
-      leaves->push_back(LeafHandle{i, /*singleton=*/true, merge.get()});
-    }
-    singleton_units.push_back(Unit{std::move(merge), PatternBound(q, width)});
+    singleton_units.push_back(
+        Unit{std::make_unique<IncrementalMerge>(std::move(inputs), ctx),
+             PatternBound(q, width)});
   }
 
   // Left-deep fold: join group first (section 3.2.2 step 1), then the

@@ -70,32 +70,10 @@ class PlanExecutor {
   PlanExecutor(const PlanExecutor&) = delete;
   PlanExecutor& operator=(const PlanExecutor&) = delete;
 
-  // A leaf of a built serial tree: the operator feeding one pattern's rows
-  // into the joins (a bare PatternScan for join-group patterns, the
-  // IncrementalMerge for singletons). The adaptive executor
-  // (core/speculation.h) polls op->RowsEmitted() at row milestones to
-  // compare each leaf's observed cardinality against the planner's
-  // estimate. Handles borrow from the returned tree — valid only while the
-  // tree is alive.
-  struct LeafHandle {
-    size_t pattern_index = 0;
-    bool singleton = false;
-    const ScoredRowIterator* op = nullptr;
-  };
-
   // Builds the tree; `ctx` must outlive the returned iterator.
   std::unique_ptr<ScoredRowIterator> Build(const Query& query,
                                            const QueryPlan& plan,
                                            ExecContext* ctx);
-
-  // As above, additionally surfacing per-pattern leaf handles. Handles are
-  // only collected for serial trees (`leaves` is cleared but left empty
-  // when the executor chooses the partitioned parallel path — the adaptive
-  // checkpoints are a single-threaded-tree feature).
-  std::unique_ptr<ScoredRowIterator> Build(const Query& query,
-                                           const QueryPlan& plan,
-                                           ExecContext* ctx,
-                                           std::vector<LeafHandle>* leaves);
 
   // A variable bound by every pattern of `query` (smallest VarId wins), or
   // kInvalidVarId. Exposed for tests and planner diagnostics.
@@ -107,8 +85,7 @@ class PlanExecutor {
   std::unique_ptr<ScoredRowIterator> BuildTree(const Query& query,
                                                const QueryPlan& plan,
                                                ExecContext* ctx,
-                                               const PartitionView* view,
-                                               std::vector<LeafHandle>* leaves);
+                                               const PartitionView* view);
 
   const TripleStore* store_;
   PostingListCache* postings_;

@@ -89,12 +89,9 @@ QueryPlan Planner::Plan(const Query& query, size_t k,
   }
 
   if (diagnostics != nullptr) {
-    // Plan-level confidence: the least confident contested decision. The
-    // runner-up candidate flips exactly that decision — the single
-    // coin-flip the race hedges against.
+    // Plan-level confidence: the least confident contested decision.
     diagnostics->plan_confidence = 1.0;
     diagnostics->least_confident_pattern = -1;
-    diagnostics->has_runner_up = false;
     for (const PatternDecision& decision : diagnostics->decisions) {
       if (!decision.has_relaxations) continue;
       if (decision.confidence < diagnostics->plan_confidence ||
@@ -104,56 +101,8 @@ QueryPlan Planner::Plan(const Query& query, size_t k,
             static_cast<int>(decision.pattern_index);
       }
     }
-    if (diagnostics->least_confident_pattern >= 0) {
-      const auto flipped = static_cast<size_t>(
-          diagnostics->least_confident_pattern);
-      QueryPlan runner_up;
-      for (const PatternDecision& decision : diagnostics->decisions) {
-        const bool relax = decision.pattern_index == flipped
-                               ? !decision.relax
-                               : decision.relax;
-        if (relax) {
-          runner_up.singletons.push_back(decision.pattern_index);
-        } else {
-          runner_up.join_group.push_back(decision.pattern_index);
-        }
-      }
-      diagnostics->has_runner_up = true;
-      diagnostics->runner_up = std::move(runner_up);
-      diagnostics->primary_cost_estimate = PlanCost(query, plan);
-      diagnostics->runner_up_cost_estimate =
-          PlanCost(query, diagnostics->runner_up);
-    }
   }
   return plan;
-}
-
-double Planner::PlanCost(const Query& query, const QueryPlan& plan) {
-  double cost = 0.0;
-  for (size_t i : plan.join_group) {
-    cost += estimator_->PatternCardinality(query.pattern(i).Key());
-  }
-  for (size_t i : plan.singletons) {
-    const TriplePattern& q = query.pattern(i);
-    cost += estimator_->PatternCardinality(q.Key());
-    for (const RelaxationRule& rule : rules_->RulesFor(q.Key())) {
-      auto relaxed = ApplyRule(q, rule);
-      if (relaxed.ok()) {
-        cost += estimator_->PatternCardinality(relaxed->Key());
-      }
-    }
-    for (const ChainRelaxationRule& rule : rules_->ChainRulesFor(q.Key())) {
-      // The fresh variable's id does not matter for costing: PatternKey
-      // erases variables, so any id yields the hops' match-set keys.
-      auto chain =
-          ApplyChainRule(q, rule, static_cast<VarId>(query.num_vars()));
-      if (chain.ok()) {
-        cost += estimator_->PatternCardinality(chain->hop1.Key());
-        cost += estimator_->PatternCardinality(chain->hop2.Key());
-      }
-    }
-  }
-  return cost;
 }
 
 }  // namespace specqp

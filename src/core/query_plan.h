@@ -60,18 +60,8 @@ struct PlanDiagnostics {
 
   // Plan-level confidence: the minimum per-decision confidence over
   // decisions that had relaxations to speculate about (1.0 when none).
-  // When a runner-up exists it is the primary plan with the least
-  // confident decision flipped — the candidate a speculative race executes
-  // alongside the primary (EngineOptions::speculate_threshold).
   double plan_confidence = 1.0;
   int least_confident_pattern = -1;  // -1 = no contested decision
-  bool has_runner_up = false;
-  QueryPlan runner_up;
-  // Estimated read cost of each candidate: summed estimated cardinality m
-  // over every posting list the plan touches (join-group scans, singleton
-  // scans plus their relaxation and chain-hop lists).
-  double primary_cost_estimate = 0.0;
-  double runner_up_cost_estimate = 0.0;
 };
 
 }  // namespace specqp

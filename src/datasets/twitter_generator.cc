@@ -83,9 +83,6 @@ TwitterDataset GenerateTwitter(const TwitterConfig& config) {
       [&store](TermId s, TermId p, TermId o, double score) {
         store.AddEncoded(s, p, o, score);
       });
-  data.has_tag = data.schema.has_tag;
-  data.topic_tags = data.schema.topic_tags;
-
   store.Finalize();
 
   MinerOptions miner;
@@ -94,7 +91,7 @@ TwitterDataset GenerateTwitter(const TwitterConfig& config) {
   miner.min_weight = config.miner_min_weight;
   miner.weight_cap = config.miner_weight_cap;
   const Status status =
-      MineObjectCooccurrence(store, data.has_tag, miner, &data.rules);
+      MineObjectCooccurrence(store, data.schema.has_tag, miner, &data.rules);
   SPECQP_CHECK(status.ok()) << status.ToString();
 
   SPECQP_LOG(Info) << "Twitter generated: " << store.size() << " triples, "

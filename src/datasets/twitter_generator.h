@@ -58,9 +58,6 @@ struct TwitterDataset {
   TripleStore store;
   RelaxationIndex rules;
   TwitterSchema schema;
-  // Legacy aliases kept so callers read data.has_tag etc. directly.
-  TermId has_tag = kInvalidTermId;
-  std::vector<std::vector<TermId>> topic_tags;
 };
 
 // Streaming core: emits every triple of the deterministic dataset for

@@ -32,8 +32,9 @@ std::vector<Query> MakeXkgWorkload(const XkgDataset& data,
   Rng rng(config.seed);
   SelectivityEstimator exact(&data.store, SelectivityEstimator::Mode::kExact);
   std::vector<Query> workload;
+  const XkgSchema& schema = data.schema;
 
-  const size_t num_domains = data.domain_types.size();
+  const size_t num_domains = schema.domain_types.size();
   const ZipfDistribution domain_dist(num_domains, 0.7);
 
   for (size_t num_patterns = 2; num_patterns <= 4; ++num_patterns) {
@@ -53,17 +54,17 @@ std::vector<Query> MakeXkgWorkload(const XkgDataset& data,
       // Candidate (predicate, object) pairs from this domain with enough
       // relaxations.
       std::vector<std::pair<TermId, TermId>> pool;
-      for (TermId type : data.domain_types[domain]) {
-        PatternKey key{kInvalidTermId, data.type_predicate, type};
+      for (TermId type : schema.domain_types[domain]) {
+        PatternKey key{kInvalidTermId, schema.type_predicate, type};
         if (data.rules.NumRulesFor(key) >= config.min_relaxations) {
-          pool.emplace_back(data.type_predicate, type);
+          pool.emplace_back(schema.type_predicate, type);
         }
       }
-      for (size_t a = 0; a < data.attribute_predicates.size(); ++a) {
-        for (TermId value : data.attribute_values[domain][a]) {
-          PatternKey key{kInvalidTermId, data.attribute_predicates[a], value};
+      for (size_t a = 0; a < schema.attribute_predicates.size(); ++a) {
+        for (TermId value : schema.attribute_values[domain][a]) {
+          PatternKey key{kInvalidTermId, schema.attribute_predicates[a], value};
           if (data.rules.NumRulesFor(key) >= config.min_relaxations) {
-            pool.emplace_back(data.attribute_predicates[a], value);
+            pool.emplace_back(schema.attribute_predicates[a], value);
           }
         }
       }
@@ -101,8 +102,9 @@ std::vector<Query> MakeTwitterWorkload(const TwitterDataset& data,
   Rng rng(config.seed);
   ExhaustiveEvaluator oracle(&data.store, &data.rules);
   std::vector<Query> workload;
+  const TwitterSchema& schema = data.schema;
 
-  const size_t num_topics = data.topic_tags.size();
+  const size_t num_topics = schema.topic_tags.size();
   const ZipfDistribution topic_dist(num_topics, 0.8);
 
   for (size_t num_patterns = 2; num_patterns <= 3; ++num_patterns) {
@@ -117,10 +119,10 @@ std::vector<Query> MakeTwitterWorkload(const TwitterDataset& data,
       // "Most frequent tags": prefer low tag indices (tag popularity within
       // a topic is Zipf by construction), requiring the relaxation minimum.
       std::vector<std::pair<TermId, TermId>> pool;
-      for (TermId tag : data.topic_tags[topic]) {
-        PatternKey key{kInvalidTermId, data.has_tag, tag};
+      for (TermId tag : schema.topic_tags[topic]) {
+        PatternKey key{kInvalidTermId, schema.has_tag, tag};
         if (data.rules.NumRulesFor(key) >= config.min_relaxations) {
-          pool.emplace_back(data.has_tag, tag);
+          pool.emplace_back(schema.has_tag, tag);
         }
       }
       if (pool.size() < num_patterns) continue;

@@ -155,12 +155,6 @@ XkgDataset GenerateXkg(const XkgConfig& config) {
       [&store](TermId s, TermId p, TermId o, double score) {
         store.AddEncoded(s, p, o, score);
       });
-  data.type_predicate = data.schema.type_predicate;
-  data.related_predicate = data.schema.related_predicate;
-  data.attribute_predicates = data.schema.attribute_predicates;
-  data.domain_types = data.schema.domain_types;
-  data.attribute_values = data.schema.attribute_values;
-
   store.Finalize();
 
   // --- relaxation mining -----------------------------------------------------
@@ -169,10 +163,11 @@ XkgDataset GenerateXkg(const XkgConfig& config) {
   miner.max_rules_per_pattern = config.miner_max_rules;
   miner.min_weight = config.miner_min_weight;
   miner.weight_cap = config.miner_weight_cap;
+  const XkgSchema& schema = data.schema;
   Status status =
-      MineObjectCooccurrence(store, data.type_predicate, miner, &data.rules);
+      MineObjectCooccurrence(store, schema.type_predicate, miner, &data.rules);
   SPECQP_CHECK(status.ok()) << status.ToString();
-  for (TermId predicate : data.attribute_predicates) {
+  for (TermId predicate : schema.attribute_predicates) {
     status = MineObjectCooccurrence(store, predicate, miner, &data.rules);
     SPECQP_CHECK(status.ok()) << status.ToString();
   }
@@ -181,8 +176,8 @@ XkgDataset GenerateXkg(const XkgConfig& config) {
     ChainMinerOptions chain;
     chain.min_weight = config.chain_min_weight;
     chain.weight_cap = config.chain_weight_cap;
-    for (TermId predicate : data.attribute_predicates) {
-      status = MineChainRelaxations(store, predicate, data.related_predicate,
+    for (TermId predicate : schema.attribute_predicates) {
+      status = MineChainRelaxations(store, predicate, schema.related_predicate,
                                     chain, &data.rules);
       SPECQP_CHECK(status.ok()) << status.ToString();
     }

@@ -94,12 +94,6 @@ struct XkgDataset {
   TripleStore store;
   RelaxationIndex rules;
   XkgSchema schema;
-  // Legacy aliases kept so callers read data.type_predicate etc. directly.
-  TermId type_predicate = kInvalidTermId;
-  TermId related_predicate = kInvalidTermId;
-  std::vector<TermId> attribute_predicates;
-  std::vector<std::vector<TermId>> domain_types;
-  std::vector<std::vector<std::vector<TermId>>> attribute_values;
 };
 
 // Streaming core: emits every triple of the deterministic dataset for

@@ -1,7 +1,6 @@
 #include "stats/catalog.h"
 
 #include <algorithm>
-#include <cmath>
 #include <tuple>
 
 #include "util/logging.h"
@@ -24,29 +23,7 @@ StatisticsCatalog::StatisticsCatalog(const TripleStore* store,
 const PatternStats& StatisticsCatalog::GetStats(const PatternKey& key) {
   auto it = cache_.find(key);
   if (it != cache_.end()) return it->second;
-  PatternStats stats = Compute(key);
-  ApplyCorrection(key, &stats);
-  return cache_.emplace(key, stats).first->second;
-}
-
-size_t StatisticsCatalog::LoadCalibration(const std::string& path) {
-  return LoadCalibrationTable(path, &corrections_);
-}
-
-double StatisticsCatalog::CorrectionFor(const PatternKey& key) const {
-  if (corrections_.empty()) return 1.0;
-  const auto it = corrections_.find(PatternSignature(*store_, key));
-  return it == corrections_.end() ? 1.0 : it->second;
-}
-
-void StatisticsCatalog::ApplyCorrection(const PatternKey& key,
-                                        PatternStats* stats) const {
-  if (corrections_.empty() || stats->m == 0) return;
-  const double correction = CorrectionFor(key);
-  if (correction == 1.0) return;
-  stats->m = std::max<uint64_t>(
-      1, static_cast<uint64_t>(
-             std::llround(static_cast<double>(stats->m) * correction)));
+  return cache_.emplace(key, Compute(key)).first->second;
 }
 
 PatternStats StatisticsCatalog::Compute(const PatternKey& key) {
@@ -102,11 +79,8 @@ size_t StatisticsCatalog::Preload(std::span<const v2::StatsEntry> entries) {
     stats.sigma_r = row.sigma_r;
     stats.s_r = row.s_r;
     stats.s_m = row.s_m;
-    const PatternKey key{row.s, row.p, row.o};
-    // Corrections apply on the way in, so a catalog preloaded from a store
-    // snapshot estimates like one that computed every entry itself.
-    ApplyCorrection(key, &stats);
-    inserted += cache_.emplace(key, stats).second ? 1 : 0;
+    inserted +=
+        cache_.emplace(PatternKey{row.s, row.p, row.o}, stats).second ? 1 : 0;
   }
   return inserted;
 }

@@ -2,7 +2,6 @@
 #define SPECQP_STATS_CATALOG_H_
 
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -10,7 +9,6 @@
 #include "rdf/store_format.h"
 #include "rdf/triple_pattern.h"
 #include "rdf/triple_store.h"
-#include "stats/calibration.h"
 #include "stats/two_bucket_histogram.h"
 
 namespace specqp {
@@ -67,33 +65,13 @@ class StatisticsCatalog {
   // entries inserted; existing entries are left untouched.
   size_t Preload(std::span<const v2::StatsEntry> entries);
 
-  // --- estimate calibration (stats/calibration.h) --------------------------
-
-  // Loads a per-predicate-class correction table fitted by
-  // scripts/fit_estimator_correction.py and applies each class's
-  // multiplier to the estimated match count m of every entry computed or
-  // preloaded *afterwards* (call before the first GetStats — Engine does,
-  // at construction). Returns the number of table entries loaded; 0 for a
-  // missing/unreadable file (no corrections, not an error).
-  size_t LoadCalibration(const std::string& path);
-
-  // The multiplier that applies to `key` (1.0 when uncalibrated).
-  double CorrectionFor(const PatternKey& key) const;
-
-  size_t num_corrections() const { return corrections_.size(); }
-
  private:
   PatternStats Compute(const PatternKey& key);
-  // Scales stats.m by the key's correction (rounded, kept >= 1 for
-  // non-empty patterns so a strong down-correction cannot declare a
-  // matching pattern empty).
-  void ApplyCorrection(const PatternKey& key, PatternStats* stats) const;
 
   const TripleStore* store_;
   PostingListCache* postings_;
   double head_fraction_;
   std::unordered_map<PatternKey, PatternStats, PatternKeyHash> cache_;
-  std::unordered_map<std::string, double> corrections_;
 };
 
 }  // namespace specqp

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
-#include <functional>
 #include <memory>
 
 #include "topk/exec_stats.h"
@@ -21,8 +20,7 @@ enum class StopCause : int {
   kNone = 0,
   kCancelled = 1,         // an external cancellation flag was raised
   kDeadlineExceeded = 2,  // the execution's deadline passed
-  kRaceLost = 3,          // a speculative racer was beaten by its rival
-  kStoreFault = 4,        // backing store data faulted mid-execution
+  kStoreFault = 3,        // backing store data faulted mid-execution
 };
 
 // Cooperative stop signal for one query execution.
@@ -90,10 +88,10 @@ class ExecInterrupt {
     return static_cast<StopCause>(cause_.load(std::memory_order_relaxed));
   }
 
-  // Latches `cause` from another thread — how a speculative race winner
-  // winds down the losing racer (StopCause::kRaceLost). Sticky like every
-  // latch: a racer already stopped for a stronger reason (cancellation,
-  // deadline) keeps its first cause.
+  // Latches `cause` from inside the execution — how a scan that hit a
+  // damaged posting block stops the query (StopCause::kStoreFault). Sticky
+  // like every latch: an execution already stopped for another reason
+  // (cancellation, deadline) keeps its first cause.
   void RequestStop(StopCause cause) const { Latch(cause); }
 
  private:
@@ -163,40 +161,11 @@ class ExecContext {
   // by the thread currently driving its tree (the fork-join handoff orders
   // rounds), which is why the poll counter can be a plain integer.
   bool Interrupted() {
-    if (interrupt_ == nullptr) {
-      if (checkpoint_ != nullptr) return PollCheckpoint();
-      return false;
-    }
+    if (interrupt_ == nullptr) return false;
     if (interrupt_->Stopped()) return true;
-    if (interrupt_->has_deadline() && (++deadline_poll_ & 127u) == 0 &&
-        interrupt_->CheckDeadline()) {
-      return true;
-    }
-    if (checkpoint_ != nullptr) return PollCheckpoint();
-    return false;
+    return interrupt_->has_deadline() && (++deadline_poll_ & 127u) == 0 &&
+           interrupt_->CheckDeadline();
   }
-
-  // Installs a cardinality checkpoint: `fn` is invoked every `every` polls
-  // of Interrupted() and returning true stops the execution exactly like an
-  // interrupt (operators wind down, root->Next() returns false). This is
-  // how the adaptive executor (core/speculation.h) gets control *inside* a
-  // long root->Next() drain — a single Next() call can pull thousands of
-  // input rows before emitting, so checking between Next() calls would miss
-  // the divergence until too late. The callback runs on whichever thread
-  // polls this context; adaptive execution installs checkpoints only on
-  // serial root contexts, so that is one thread. `fn` must outlive the
-  // execution or be cleared first.
-  void SetCheckpoint(std::function<bool()> fn, uint32_t every) {
-    checkpoint_ = std::move(fn);
-    checkpoint_every_ = every == 0 ? 1 : every;
-    checkpoint_poll_ = 0;
-    checkpoint_fired_ = false;
-  }
-  void ClearCheckpoint() { checkpoint_ = nullptr; }
-
-  // True once an installed checkpoint asked to stop (distinguishes a
-  // checkpoint stop from interrupt causes and plain input exhaustion).
-  bool checkpoint_fired() const { return checkpoint_fired_; }
 
   // Usable concurrency: pool workers plus the calling thread.
   size_t num_threads() const;
@@ -227,23 +196,11 @@ class ExecContext {
  private:
   struct Partition;
 
-  bool PollCheckpoint() {
-    if (checkpoint_fired_) return true;
-    if (++checkpoint_poll_ < checkpoint_every_) return false;
-    checkpoint_poll_ = 0;
-    if (checkpoint_()) checkpoint_fired_ = true;
-    return checkpoint_fired_;
-  }
-
   ExecStats* stats_;
   ThreadPool* pool_;
   SharedScanCache* shared_scans_;
   const ExecInterrupt* interrupt_;
   uint32_t deadline_poll_ = 0;
-  std::function<bool()> checkpoint_;
-  uint32_t checkpoint_every_ = 1;
-  uint32_t checkpoint_poll_ = 0;
-  bool checkpoint_fired_ = false;
   bool has_parallel_min_rows_override_ = false;
   size_t parallel_min_rows_override_ = 0;
   // Guards the partition arena only; everything above is either atomic

@@ -44,17 +44,6 @@ struct ExecStats {
   uint64_t shards_failed = 0;
   uint64_t shards_total = 0;
 
-  // Speculation ledger (core/speculation.h). A raced query executes its
-  // primary plan and the planner's runner-up concurrently; the main
-  // counters above come from the *winner only* — the loser's aborted work
-  // is visible solely through this ledger, so racing never double-counts
-  // operator traffic.
-  uint64_t plans_raced = 0;            // racer executions launched (2/query)
-  uint64_t race_wins_by_runnerup = 0;  // races decided by the runner-up plan
-  uint64_t speculative_work_wasted_rows = 0;  // loser answer objects discarded
-  uint64_t replans_triggered = 0;      // mid-query re-plans (divergence)
-  double race_loser_abort_ms = 0.0;    // win-declared -> loser wound down
-
   double plan_ms = 0.0;
   double exec_ms = 0.0;
 
@@ -77,11 +66,6 @@ struct ExecStats {
     // partition in must not double them.
     shards_failed = std::max(shards_failed, other.shards_failed);
     shards_total = std::max(shards_total, other.shards_total);
-    plans_raced += other.plans_raced;
-    race_wins_by_runnerup += other.race_wins_by_runnerup;
-    speculative_work_wasted_rows += other.speculative_work_wasted_rows;
-    replans_triggered += other.replans_triggered;
-    race_loser_abort_ms += other.race_loser_abort_ms;
     plan_ms += other.plan_ms;
     exec_ms += other.exec_ms;
     return *this;

@@ -84,7 +84,6 @@ bool IncrementalMerge::Next(ScoredRow* out) {
       continue;  // a lower-scored derivation of an already-emitted answer
     }
     ++stats_->merge_rows;
-    ++rows_emitted_;
     std::swap(*out, head.row);  // the caller's old buffer becomes the head
     Prime(best);  // advance that input
     return true;

@@ -42,7 +42,6 @@ class IncrementalMerge final : public ScoredRowIterator {
   bool Next(ScoredRow* out) override;
   double UpperBound() const override;
   void Discard() override;
-  uint64_t RowsEmitted() const override { return rows_emitted_; }
 
  private:
   struct Head {
@@ -72,7 +71,6 @@ class IncrementalMerge final : public ScoredRowIterator {
   KeyTable seen_;
   ExecContext* ctx_;
   ExecStats* stats_;
-  uint64_t rows_emitted_ = 0;
 };
 
 }  // namespace specqp

@@ -32,13 +32,6 @@ class ScoredRowIterator {
   // never changes which rows earlier calls produced.
   virtual void Discard() {}
 
-  // Rows this iterator has emitted so far (Next() returned true). Leaf and
-  // stream operators override it so the adaptive executor can compare a
-  // sub-plan's observed cardinality against the planner's estimate at row
-  // milestones (core/speculation.h); the default keeps simple combinators
-  // exempt. Read only by the thread driving the tree.
-  virtual uint64_t RowsEmitted() const { return 0; }
-
   // Sentinel bound strictly below any real score (scores are >= 0).
   static constexpr double kExhausted = -1.0;
 };

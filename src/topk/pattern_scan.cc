@@ -50,7 +50,6 @@ bool PatternScan::Next(ScoredRow* out) {
 
     ++stats_->scan_rows;
     ++stats_->answer_objects;
-    ++rows_emitted_;
     return true;
   }
   return false;

@@ -35,7 +35,6 @@ class PatternScan final : public ScoredRowIterator {
   bool Next(ScoredRow* out) override;
   double UpperBound() const override;
   void Discard() override;
-  uint64_t RowsEmitted() const override { return rows_emitted_; }
 
   const TriplePattern& pattern() const { return pattern_; }
   double weight() const { return weight_; }
@@ -48,7 +47,6 @@ class PatternScan final : public ScoredRowIterator {
   double weight_;
   ExecContext* ctx_;
   ExecStats* stats_;
-  uint64_t rows_emitted_ = 0;
   bool fault_reported_ = false;  // store_faults charged once per scan
   // Canonical access path over flat or block-compressed lists. At an
   // undecoded block boundary PeekScore() answers from the block header

@@ -152,7 +152,6 @@ void RankJoin::Emit(ScoredRow* out) {
   out->bindings.assign(cells, cells + width_);
   out->score = result_scores_[result];
   free_results_.push_back(result);
-  ++rows_emitted_;
 }
 
 bool RankJoin::Next(ScoredRow* out) {

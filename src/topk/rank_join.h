@@ -67,7 +67,6 @@ class RankJoin final : public ScoredRowIterator {
   bool Next(ScoredRow* out) override;
   double UpperBound() const override;
   void Discard() override;
-  uint64_t RowsEmitted() const override { return rows_emitted_; }
 
  private:
   static constexpr uint32_t kNone = UINT32_MAX;
@@ -113,7 +112,6 @@ class RankJoin final : public ScoredRowIterator {
   std::vector<TermId> key_;  // the pulled row's join-variable values
   ScoredRow scratch_;        // the pulled row
   bool pull_left_next_ = true;  // tie-breaker for alternating pulls
-  uint64_t rows_emitted_ = 0;
 
   std::vector<TermId> result_cells_;   // result slot i: [i * W, (i + 1) * W)
   std::vector<double> result_scores_;

@@ -365,7 +365,7 @@ TEST(ChainMinerTest, GeneratorProducesChainRules) {
   config.values_per_attribute = 8;
   config.generate_value_graph = true;
   const XkgDataset data = GenerateXkg(config);
-  EXPECT_NE(data.related_predicate, kInvalidTermId);
+  EXPECT_NE(data.schema.related_predicate, kInvalidTermId);
   EXPECT_GT(data.rules.total_chain_rules(), 0u);
 }
 

@@ -10,7 +10,20 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "datasets/twitter_generator.h"
+#include "datasets/workload.h"
+#include "datasets/xkg_generator.h"
 #include "test_util.h"
+
+// Sanitizer builds run ~5-15x slower; trim the probe's thread sweep there.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+#define SPECQP_SANITIZED_BUILD 1
+#endif
+#if !defined(SPECQP_SANITIZED_BUILD) && defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+#define SPECQP_SANITIZED_BUILD 1
+#endif
+#endif
 
 namespace specqp {
 namespace {
@@ -194,6 +207,73 @@ TEST(ParallelExecutionTest, SizeThresholdKeepsSmallQueriesSerial) {
                                      Strategy::kTrinit);
   EXPECT_EQ(result.stats.parallel_partitions, 0u);
   EXPECT_FALSE(result.rows.empty());
+}
+
+// Every bundled workload query (66 XKG + 50 Twitter = 116, at test-sized
+// graphs) under the engine's default partitioning threshold, so small
+// queries stay serial and large ones split: each thread count must match
+// the serial engine row for row and bit for bit.
+TEST(ParallelExecutionTest, ProbeWorkloadIdenticalAcrossThreadCounts) {
+  XkgConfig xkg_config;
+  xkg_config.num_entities = 6000;
+  xkg_config.num_domains = 8;
+  const XkgDataset xkg = GenerateXkg(xkg_config);
+  XkgWorkloadConfig xkg_wl;
+  xkg_wl.min_relaxations = 8;
+  const std::vector<Query> xkg_queries = MakeXkgWorkload(xkg, xkg_wl);
+  ASSERT_EQ(xkg_queries.size(), 66u);
+
+  TwitterConfig twitter_config;
+  twitter_config.num_tweets = 20000;
+  twitter_config.num_topics = 12;
+  const TwitterDataset twitter = GenerateTwitter(twitter_config);
+  TwitterWorkloadConfig twitter_wl;
+  twitter_wl.min_relaxations = 4;
+  twitter_wl.min_relaxed_answers = 10;
+  const std::vector<Query> twitter_queries =
+      MakeTwitterWorkload(twitter, twitter_wl);
+  ASSERT_EQ(twitter_queries.size(), 50u);
+
+  const struct {
+    const char* name;
+    const TripleStore* store;
+    const RelaxationIndex* rules;
+    const std::vector<Query>* workload;
+  } bundles[] = {
+      {"xkg", &xkg.store, &xkg.rules, &xkg_queries},
+      {"twitter", &twitter.store, &twitter.rules, &twitter_queries},
+  };
+#if defined(SPECQP_SANITIZED_BUILD)
+  const std::vector<int> thread_counts = {2};
+#else
+  const std::vector<int> thread_counts = {1, 2, 8};
+#endif
+
+  for (const auto& bundle : bundles) {
+    for (const Strategy strategy : kStrategies) {
+      EngineOptions serial_options;
+      serial_options.num_threads = 1;
+      Engine serial(bundle.store, bundle.rules, serial_options);
+      std::vector<Engine::QueryResult> expected;
+      expected.reserve(bundle.workload->size());
+      for (const Query& query : *bundle.workload) {
+        expected.push_back(testing::Execute(serial, query, 10, strategy));
+      }
+      for (const int threads : thread_counts) {
+        EngineOptions options;
+        options.num_threads = threads;
+        Engine engine(bundle.store, bundle.rules, options);
+        for (size_t q = 0; q < bundle.workload->size(); ++q) {
+          ExpectIdenticalRows(
+              expected[q],
+              testing::Execute(engine, (*bundle.workload)[q], 10, strategy),
+              std::string(bundle.name) + "/" +
+                  std::string(StrategyName(strategy)) + " q" +
+                  std::to_string(q) + "/threads=" + std::to_string(threads));
+        }
+      }
+    }
+  }
 }
 
 TEST(ResolveNumThreadsTest, ExplicitRequestWinsAndIsClamped) {

@@ -184,6 +184,54 @@ TEST(PlannerTest, DecisionConsistentWithEstimatorComparison) {
   }
 }
 
+TEST(PlannerTest, DecisionConfidenceAndPlanConfidence) {
+  // Every contested decision's confidence lies in [0, 1]; plan_confidence
+  // is the minimum over decisions with relaxations (1.0 when there are
+  // none) and least_confident_pattern names a decision reaching it.
+  PlannerFixture fx = MakePlannerFixture();
+  PlannerHarness h(&fx.store, &fx.rules);
+  size_t contested = 0;
+  size_t below_one = 0;
+  for (size_t k : {1u, 3u, 5u, 10u, 20u}) {
+    for (const auto& names :
+         std::vector<std::vector<std::string>>{{"dense"},
+                                               {"tiny"},
+                                               {"dense", "sparse"},
+                                               {"dense", "sparse", "target"},
+                                               {"sparse", "tiny"}}) {
+      PlanDiagnostics diag;
+      h.planner.Plan(fx.TypeQuery(names), k, &diag);
+      double minimum = 1.0;
+      bool any = false;
+      for (const PatternDecision& d : diag.decisions) {
+        if (!d.has_relaxations) {
+          EXPECT_EQ(d.confidence, 1.0);
+          continue;
+        }
+        ++contested;
+        EXPECT_GE(d.confidence, 0.0) << "k=" << k;
+        EXPECT_LE(d.confidence, 1.0) << "k=" << k;
+        if (d.confidence < 1.0) ++below_one;
+        minimum = any ? std::min(minimum, d.confidence) : d.confidence;
+        any = true;
+      }
+      EXPECT_EQ(diag.plan_confidence, minimum) << "k=" << k;
+      if (!any) {
+        EXPECT_EQ(diag.least_confident_pattern, -1);
+        continue;
+      }
+      ASSERT_GE(diag.least_confident_pattern, 0);
+      const PatternDecision& least =
+          diag.decisions[static_cast<size_t>(diag.least_confident_pattern)];
+      EXPECT_TRUE(least.has_relaxations);
+      EXPECT_EQ(least.confidence, minimum);
+    }
+  }
+  EXPECT_GT(contested, 0u);
+  EXPECT_GT(below_one, 0u) << "no decision below full confidence; the "
+                              "minimum is never exercised";
+}
+
 TEST(PlannerTest, LargerKRelaxesMoreOrEqual) {
   // Monotonicity observed in the paper (section 4.5.2): as k grows,
   // queries need relaxations more often.

@@ -1,10 +1,9 @@
 // Scatter-gather equivalence battery: every bundled workload query (66 XKG
 // + 50 Twitter = 116) must return bit-identical rows — bindings and raw
 // score bits — on {single-file v3, 2-shard bundle, 8-shard bundle}
-// backends, across all three strategies and 1/2/8 execution threads, with
-// speculative plan racing forced on. This is the determinism contract of
-// docs/ARCHITECTURE.md ("Sharded stores & scatter-gather"): sharding is a
-// storage layout, never an answer change.
+// backends, across all three strategies and 1/2/8 execution threads. This
+// is the determinism contract of docs/ARCHITECTURE.md ("Sharded stores &
+// scatter-gather"): sharding is a storage layout, never an answer change.
 
 #include <filesystem>
 #include <string>
@@ -48,7 +47,7 @@ void ExpectSameRows(const std::vector<ScoredRow>& expected,
 }
 
 TEST(ShardedEngineTest, WorkloadBitIdenticalAcrossBackends) {
-  // Same reduced-scale datasets as the speculation probe: full workload
+  // Same reduced-scale datasets as the parallel-execution probe: full workload
   // query counts (66 + 50 = 116) at test-sized graphs.
   XkgConfig xkg_config;
   xkg_config.num_entities = 6000;
@@ -115,7 +114,7 @@ TEST(ShardedEngineTest, WorkloadBitIdenticalAcrossBackends) {
                           shards});
     }
 
-    // Ground truth: the serial in-memory engine, speculation off.
+    // Ground truth: the serial in-memory engine.
     EngineOptions base;
     base.num_threads = 1;
     Engine baseline(dataset.store, dataset.rules, base);
@@ -133,20 +132,17 @@ TEST(ShardedEngineTest, WorkloadBitIdenticalAcrossBackends) {
       for (const int threads : thread_counts) {
         EngineOptions options;
         options.num_threads = threads;
-        options.speculate_threshold = 2.0;  // force racing (threads >= 2)
         auto opened = Engine::OpenFromPath(backend.path, dataset.rules,
                                            options);
         ASSERT_TRUE(opened.ok())
             << backend.label << ": " << opened.status().ToString();
         EXPECT_EQ(opened.value().store().is_sharded(), backend.shards > 0);
 
-        uint64_t raced = 0;
         for (size_t s = 0; s < std::size(kStrategies); ++s) {
           for (size_t q = 0; q < dataset.workload->size(); ++q) {
             const Engine::QueryResult result =
                 testing::Execute(*opened.value().engine,
                                  (*dataset.workload)[q], 10, kStrategies[s]);
-            raced += result.stats.plans_raced;
             ExpectSameRows(
                 expected[s][q], result.rows,
                 StrFormat("%s/%s/%s q%zu threads=%d", dataset.name,
@@ -155,11 +151,6 @@ TEST(ShardedEngineTest, WorkloadBitIdenticalAcrossBackends) {
                           q, threads));
           }
         }
-        if (threads >= 2) {
-          EXPECT_GT(raced, 0u) << dataset.name << "/" << backend.label
-                               << " threads=" << threads;
-        }
-
         // The scatter-gather ledger actually moved: every shard holds
         // triples and was hit by at least one scattered pattern.
         if (backend.shards > 0) {

@@ -39,9 +39,9 @@ TEST(XkgGeneratorTest, BasicInvariants) {
   const XkgDataset data = GenerateXkg(SmallXkgConfig());
   EXPECT_TRUE(data.store.finalized());
   EXPECT_GT(data.store.size(), 5000u);
-  EXPECT_NE(data.type_predicate, kInvalidTermId);
-  EXPECT_EQ(data.attribute_predicates.size(), 2u);
-  EXPECT_EQ(data.domain_types.size(), 6u);
+  EXPECT_NE(data.schema.type_predicate, kInvalidTermId);
+  EXPECT_EQ(data.schema.attribute_predicates.size(), 2u);
+  EXPECT_EQ(data.schema.domain_types.size(), 6u);
   EXPECT_GT(data.rules.total_rules(), 0u);
 }
 
@@ -60,8 +60,8 @@ TEST(XkgGeneratorTest, ScoresArePowerLaw) {
   const XkgDataset data = GenerateXkg(SmallXkgConfig());
   // Type posting lists should be head-heavy: the top 20% of matches carry
   // well over half the mass for popular types.
-  PatternKey key{kInvalidTermId, data.type_predicate,
-                 data.domain_types[0][0]};
+  PatternKey key{kInvalidTermId, data.schema.type_predicate,
+                 data.schema.domain_types[0][0]};
   const PostingList list = BuildPostingList(data.store, key);
   ASSERT_GT(list.size(), 20u);
   double total = 0.0;
@@ -76,9 +76,9 @@ TEST(XkgGeneratorTest, TypePatternsHaveRelaxations) {
   const XkgDataset data = GenerateXkg(SmallXkgConfig());
   size_t with_rules = 0;
   size_t total = 0;
-  for (const auto& domain : data.domain_types) {
+  for (const auto& domain : data.schema.domain_types) {
     for (TermId type : domain) {
-      PatternKey key{kInvalidTermId, data.type_predicate, type};
+      PatternKey key{kInvalidTermId, data.schema.type_predicate, type};
       // Long-tail types (popularity-correlated fact density leaves them
       // with few instances) legitimately mine few rules; the workload only
       // draws from reasonably-populated patterns, so that is what we
@@ -98,9 +98,9 @@ TEST(XkgGeneratorTest, TypePatternsHaveRelaxations) {
 TEST(XkgGeneratorTest, MinedWeightsAreValid) {
   const XkgDataset data = GenerateXkg(SmallXkgConfig());
   size_t checked = 0;
-  for (const auto& domain : data.domain_types) {
+  for (const auto& domain : data.schema.domain_types) {
     for (TermId type : domain) {
-      PatternKey key{kInvalidTermId, data.type_predicate, type};
+      PatternKey key{kInvalidTermId, data.schema.type_predicate, type};
       for (const RelaxationRule& rule : data.rules.RulesFor(key)) {
         EXPECT_TRUE(ValidateRule(rule).ok());
         EXPECT_LE(rule.weight, SmallXkgConfig().miner_weight_cap + 1e-12);
@@ -139,12 +139,13 @@ TEST(TwitterGeneratorTest, BasicInvariants) {
   const TwitterDataset data = GenerateTwitter(SmallTwitterConfig());
   EXPECT_TRUE(data.store.finalized());
   EXPECT_GT(data.store.size(), 10000u);
-  EXPECT_NE(data.has_tag, kInvalidTermId);
-  EXPECT_EQ(data.topic_tags.size(), 8u);
+  EXPECT_NE(data.schema.has_tag, kInvalidTermId);
+  EXPECT_EQ(data.schema.topic_tags.size(), 8u);
   EXPECT_GT(data.rules.total_rules(), 0u);
   // Every triple uses the hasTag predicate.
   for (size_t i = 0; i < std::min<size_t>(data.store.size(), 1000); ++i) {
-    EXPECT_EQ(data.store.triple(static_cast<uint32_t>(i)).p, data.has_tag);
+    EXPECT_EQ(data.store.triple(static_cast<uint32_t>(i)).p,
+              data.schema.has_tag);
   }
 }
 
@@ -163,9 +164,9 @@ TEST(TwitterGeneratorTest, CooccurrenceWeightsMatchFormula) {
 
   // Recompute w = #tweets(T1 ∧ T2) / #tweets(T1) for a handful of rules.
   size_t checked = 0;
-  for (const auto& topic : data.topic_tags) {
+  for (const auto& topic : data.schema.topic_tags) {
     for (TermId tag : topic) {
-      PatternKey key{kInvalidTermId, data.has_tag, tag};
+      PatternKey key{kInvalidTermId, data.schema.has_tag, tag};
       const auto rules = data.rules.RulesFor(key);
       if (rules.empty()) continue;
       // Subjects of T1.
