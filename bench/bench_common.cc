@@ -453,9 +453,31 @@ void RunEfficiencyFigure(const std::string& title, Engine& engine,
   out.Set("group_by", group_by == GroupBy::kNumPatterns ? "num_patterns"
                                                         : "patterns_relaxed");
   Json& by_k = out.Set("by_k", Json::Array());
+  // The Figs 6-9 verdict, computed from the rows printed below: per k, how
+  // many queries Spec-QP answers with no more objects than TriniT, and
+  // which groups it answers slower on average.
+  struct MemoryVerdict {
+    size_t k;
+    size_t queries;
+    size_t spec_le_trinit;
+  };
+  struct SlowGroup {
+    size_t k;
+    size_t group_key;
+    double ratio;
+  };
+  std::vector<MemoryVerdict> memory_verdicts;
+  std::vector<SlowGroup> slow_groups;
   for (size_t k : kTopKs) {
     const std::vector<EfficiencyRecord> records =
         MeasureWorkloadEfficiency(engine, workload, k);
+    MemoryVerdict memory{k, records.size(), 0};
+    for (const EfficiencyRecord& r : records) {
+      if (r.metrics.spec_objects <= r.metrics.trinit_objects) {
+        ++memory.spec_le_trinit;
+      }
+    }
+    memory_verdicts.push_back(memory);
 
     // Collect the group keys present.
     std::map<size_t, std::vector<const EfficiencyRecord*>> groups;
@@ -515,6 +537,7 @@ void RunEfficiencyFigure(const std::string& title, Engine& engine,
       g.Set("trinit_objects_mean", t_obj.Mean());
       g.Set("spec_objects_mean", s_obj.Mean());
       g.Set("spec_over_trinit_time", ratio);
+      if (ratio > 1.0) slow_groups.push_back({k, key, ratio});
       PrintRow({StrFormat("%zu", key), StrFormat("%llu",
                     static_cast<unsigned long long>(t_ms.count)),
                 StrFormat("%.3f", t_ms.Mean()), StrFormat("%.3f", s_ms.Mean()),
@@ -569,11 +592,37 @@ void RunEfficiencyFigure(const std::string& title, Engine& engine,
     }
   }
   out.Set("cache", CacheStatsToJson(engine.postings()));
-  std::printf(
-      "\nShape check (paper Figs 6-9): S <= T on runtime and memory in "
-      "every group; the gap is largest at k=10 / few-patterns-relaxed and "
-      "shrinks as k or #relaxed grows; with all patterns relaxed S ~= T "
-      "plus planning overhead.\n");
+
+  const char* group_name =
+      group_by == GroupBy::kNumPatterns ? "#TP" : "#relaxed";
+  Json& verdict = out.Set("verdict", Json::Object());
+  Json& memory_json = verdict.Set("memory", Json::Array());
+  std::printf("\nVerdict (paper Figs 6-9: Spec-QP materialises no more "
+              "answer objects than TriniT):\n");
+  for (const MemoryVerdict& m : memory_verdicts) {
+    const bool pass = m.spec_le_trinit == m.queries;
+    Json& j = memory_json.Push(Json::Object());
+    j.Set("k", m.k);
+    j.Set("queries", m.queries);
+    j.Set("spec_objects_le_trinit", m.spec_le_trinit);
+    j.Set("pass", pass);
+    std::printf("  k=%zu: %zu/%zu queries have S answer objects <= T's: %s\n",
+                m.k, m.spec_le_trinit, m.queries, pass ? "PASS" : "FAIL");
+  }
+  Json& slow_json = verdict.Set("groups_spec_slower", Json::Array());
+  std::string slow_list;
+  for (const SlowGroup& g : slow_groups) {
+    Json& j = slow_json.Push(Json::Object());
+    j.Set("k", g.k);
+    j.Set("group_key", g.group_key);
+    j.Set("spec_over_trinit_time", g.ratio);
+    slow_list += StrFormat(" k=%zu/%s=%zu (%.2f)", g.k, group_name,
+                           g.group_key, g.ratio);
+  }
+  std::printf("  groups with S/T time > 1:%s\n",
+              slow_list.empty() ? " none" : slow_list.c_str());
+  std::printf("  (runtime gets no PASS: each query contributes one mean "
+              "with no interval)\n");
 }
 
 void PrintTitle(const std::string& title) {

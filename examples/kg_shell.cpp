@@ -28,12 +28,12 @@
 //   stats              store, cache, and admission statistics
 //   help / quit
 //
-// Load path: `save` writes the store in format v2 ("SQPSTOR2", see
-// docs/FORMATS.md) with the engine's warmed statistics snapshot embedded;
-// `load` goes through Engine::OpenFromPath, which memory-maps v2 files —
-// a zero-copy open with no per-triple parsing — and parses legacy v1
-// files. The statistics snapshot pre-seeds the new engine's catalog, so
-// plans right after `load` match the session that saved the store.
+// Load path: `save` writes the store ("SQPSTOR3", see docs/FORMATS.md)
+// with the engine's warmed statistics snapshot embedded; `load` goes
+// through Engine::OpenFromPath, which memory-maps the file — a zero-copy
+// open with no per-triple parsing. The statistics snapshot pre-seeds the
+// new engine's catalog, so plans right after `load` match the session
+// that saved the store.
 // `stats` shows which backend (mapped or parsed) is serving.
 
 #include <cctype>
@@ -448,7 +448,7 @@ class Shell {
       std::printf("usage: save <prefix>\n");
       return;
     }
-    // v2 store file with whatever statistics this session has warmed —
+    // Store file with whatever statistics this session has warmed —
     // the next `load` starts with the same catalog without recomputing.
     SaveStoreOptions options;
     options.stats = engine().catalog().Snapshot();
@@ -469,8 +469,8 @@ class Shell {
       return;
     }
     // Swap the rules in first (the engine keeps a pointer to them), then
-    // open the store: mmap fast path for v2 files, parse for v1. Shell
-    // users load arbitrary files, so pay for the full verification pass
+    // open the store through the mmap fast path. Shell users load
+    // arbitrary files, so pay for the full verification pass
     // (checksums + invariants on every section) instead of trusting the
     // bulk bytes.
     auto swapped = std::make_unique<RelaxationIndex>(std::move(rules).value());

@@ -75,17 +75,17 @@ struct EngineOptions {
   // cross-request batching off (every Submit dispatches alone).
   size_t admission_max_batch = 16;
   double admission_max_delay_ms = 2.0;
-  // Engine::OpenFromPath only: memory-map v2/v3 store files (zero-copy
-  // MmapStore view, O(ms) open) instead of parsing them into an owned
-  // store. v1 files always parse. Answers are identical either way; only
-  // open latency and memory residency change.
+  // Engine::OpenFromPath only: memory-map store files (zero-copy MmapStore
+  // view, O(ms) open) instead of loading them into an owned store
+  // (LoadStore: eager map, full verification, materialise). Answers are
+  // identical either way; only open latency and memory residency change.
   bool mmap = true;
   // Engine::OpenFromPath only: fully verify every section of a mapped
   // store (checksums + value ranges + ordering invariants) before
   // serving, instead of the default — eager metadata sections, lazy
   // O(triples) bulk sections. The default trusts the file's bulk bytes;
   // set this for stores from untrusted sources (costs one pass over the
-  // file, still far below a v1 parse).
+  // file).
   bool mmap_verify_all = false;
 
   // --- fault tolerance (docs/ARCHITECTURE.md "Failure model") --------------
@@ -162,9 +162,9 @@ class Engine {
   // internal pointers stay valid because the store lives behind a
   // unique_ptr either way.
   struct Opened {
-    std::unique_ptr<MmapStore> mapped;      // v2 / v3 mmap fast path
+    std::unique_ptr<MmapStore> mapped;      // mmap fast path
     std::unique_ptr<ShardedStore> sharded;  // SQPBNDL1 bundle facade
-    std::unique_ptr<TripleStore> parsed;    // v1 / parse fallback
+    std::unique_ptr<TripleStore> parsed;    // mmap = false: LoadStore
     std::unique_ptr<Engine> engine;
 
     const TripleStore& store() const {
@@ -180,15 +180,15 @@ class Engine {
     }
   };
 
-  // Open-from-path fast path: loads `store_path` (v1, v2, v3, or a
+  // Open-from-path fast path: loads `store_path` (an SQPSTOR3 file, or a
   // sharded SQPBNDL1 bundle directory/manifest; see docs/FORMATS.md) and
-  // builds an engine over it. With options.mmap, v2
-  // and v3 files are memory-mapped — the open does no per-triple parsing,
+  // builds an engine over it. A bundle opens as a ShardedStore. A file is
+  // memory-mapped with options.mmap — the open does no per-triple parsing,
   // its small metadata sections are CRC-verified eagerly, the bulk
-  // sections lazily; a v3 file additionally serves its per-predicate
-  // posting lists as zero-copy block directories — and the engine's
-  // statistics catalog is pre-seeded from the file's snapshot when its
-  // head_fraction matches the options. `rules` stays caller-owned and must
+  // sections lazily, and its per-predicate posting lists are served as
+  // zero-copy block directories — and otherwise loaded by LoadStore into
+  // an owned store. The engine's statistics catalog is pre-seeded from a
+  // mapped file's snapshot when its head_fraction matches the options. `rules` stays caller-owned and must
   // outlive the returned bundle.
   [[nodiscard]] static Result<Opened> OpenFromPath(const std::string& store_path,
                                      const RelaxationIndex* rules,

@@ -32,7 +32,29 @@ std::span<const T> RecordSpan(const char* data, uint64_t byte_offset,
 
 Status Corrupt(const char* what) { return Status::Corruption(what); }
 
+constexpr char kStoreMagicStem[7] = {'S', 'Q', 'P', 'S', 'T', 'O', 'R'};
+
 }  // namespace
+
+Status CheckStoreHeader(const v2::FileHeader& header) {
+  if (std::memcmp(header.magic, kStoreMagicStem, sizeof(kStoreMagicStem)) !=
+      0) {
+    return Corrupt("bad magic; not a Spec-QP store file");
+  }
+  const char generation = header.magic[7];
+  if (generation == '1' || generation == '2') {
+    return Status::Corruption(
+        StrFormat("store format %c (SQPSTOR%c) is retired; only SQPSTOR3 "
+                  "files are read",
+                  generation, generation));
+  }
+  if (std::memcmp(header.magic, v3::kMagic, sizeof(v3::kMagic)) != 0 ||
+      header.version != v3::kFormatVersion) {
+    return Status::Corruption(
+        StrFormat("unsupported store format version %u", header.version));
+  }
+  return Status::Ok();
+}
 
 MmapStore::~MmapStore() {
   if (map_ != nullptr) {
@@ -67,7 +89,26 @@ Result<std::unique_ptr<MmapStore>> MmapStore::Open(const std::string& path,
     return status;
   }
   const uint64_t file_size = static_cast<uint64_t>(st.st_size);
-  if (file_size < sizeof(v2::FileHeader)) {
+  // The header is read before mapping so that a short file of a retired
+  // format (a small SQPSTOR1 file can be under 40 bytes) is still named.
+  v2::FileHeader header{};
+  const ssize_t got = ::pread(fd, &header, sizeof(header), /*offset=*/0);
+  if (got < 0) {
+    const Status status = Status::IoError(
+        StrFormat("cannot read '%s': %s", path.c_str(), std::strerror(errno)));
+    ::close(fd);
+    return status;
+  }
+  if (got < static_cast<ssize_t>(sizeof(header.magic) + sizeof(uint32_t))) {
+    ::close(fd);
+    return Corrupt("truncated header");
+  }
+  if (const Status magic = CheckStoreHeader(header); !magic.ok()) {
+    ::close(fd);
+    return magic;
+  }
+  if (file_size < sizeof(v2::FileHeader) ||
+      got != static_cast<ssize_t>(sizeof(header))) {
     ::close(fd);
     return Corrupt("truncated header");
   }
@@ -95,21 +136,6 @@ Result<std::unique_ptr<MmapStore>> MmapStore::Open(const std::string& path,
 
   // --- header + section table (structural validation) ----------------------
 
-  v2::FileHeader header;
-  std::memcpy(&header, bytes, sizeof(header));
-  const bool v2_magic =
-      std::memcmp(header.magic, v2::kMagic, sizeof(v2::kMagic)) == 0;
-  const bool v3_magic =
-      std::memcmp(header.magic, v3::kMagic, sizeof(v3::kMagic)) == 0;
-  if (!v2_magic && !v3_magic) {
-    return Corrupt("bad magic; not a SQPSTOR2/SQPSTOR3 store file");
-  }
-  if ((v2_magic && header.version != v2::kFormatVersion) ||
-      (v3_magic && header.version != v3::kFormatVersion)) {
-    return Status::Corruption(
-        StrFormat("unsupported version %u", header.version));
-  }
-  store->version_ = header.version;
   if (header.file_size != file_size) {
     return Corrupt("header file size does not match the actual file");
   }
@@ -132,19 +158,16 @@ Result<std::unique_ptr<MmapStore>> MmapStore::Open(const std::string& path,
     if (entry.flags != 0 || entry.reserved != 0) {
       return Corrupt("nonzero reserved bits in section table");
     }
-    // Sections 11/12 exist only in v3, and v3 retired the flat
-    // kPostingEntries section — mixing generations is a sign of a
-    // stitched-together file.
-    const uint32_t max_id = static_cast<uint32_t>(
-        header.version == v3::kFormatVersion ? v2::SectionId::kPostingBlocks
-                                             : v2::SectionId::kStats);
-    if (entry.id < static_cast<uint32_t>(v2::SectionId::kDictOffsets) ||
-        entry.id > max_id) {
-      return Corrupt("unknown section id");
-    }
-    if (header.version == v3::kFormatVersion &&
+    // Ids 5 (SPO index) and 9 (flat posting entries) belonged to the
+    // retired SQPSTOR2 layout; a file carrying either is stitched together.
+    if (entry.id == static_cast<uint32_t>(v2::SectionId::kSpoIndex) ||
         entry.id == static_cast<uint32_t>(v2::SectionId::kPostingEntries)) {
-      return Corrupt("flat posting entries section in a v3 file");
+      return Status::Corruption(
+          StrFormat("retired section id %u (SQPSTOR2 layout)", entry.id));
+    }
+    if (entry.id < static_cast<uint32_t>(v2::SectionId::kDictOffsets) ||
+        entry.id > static_cast<uint32_t>(v2::SectionId::kPostingBlocks)) {
+      return Corrupt("unknown section id");
     }
     if (!seen_ids.insert(entry.id).second) {
       return Corrupt("duplicate section id");
@@ -176,22 +199,16 @@ Result<std::unique_ptr<MmapStore>> MmapStore::Open(const std::string& path,
   const Section* dict_blob = store->FindSection(v2::SectionId::kDictBlob);
   const Section* dict_sorted = store->FindSection(v2::SectionId::kDictSorted);
   const Section* triple_sec = store->FindSection(v2::SectionId::kTriples);
-  const Section* spo = store->FindSection(v2::SectionId::kSpoIndex);
   const Section* pos = store->FindSection(v2::SectionId::kPosIndex);
   const Section* osp = store->FindSection(v2::SectionId::kOspIndex);
+  const Section* dir = store->FindSection(v2::SectionId::kPostingDir);
+  const Section* index = store->FindSection(v2::SectionId::kPostingBlockIndex);
+  const Section* blocks = store->FindSection(v2::SectionId::kPostingBlocks);
   if (dict_offsets == nullptr || dict_blob == nullptr ||
       dict_sorted == nullptr || triple_sec == nullptr || pos == nullptr ||
-      osp == nullptr) {
+      osp == nullptr || dir == nullptr || index == nullptr ||
+      blocks == nullptr) {
     return Corrupt("missing required section");
-  }
-  // v2 maps its SPO permutation; v3 omits the section entirely (the SPO
-  // order of an SPO-sorted triple array is the identity, synthesised
-  // below) and a v3 file carrying one is malformed.
-  if (header.version == v2::kFormatVersion && spo == nullptr) {
-    return Corrupt("missing required section");
-  }
-  if (header.version == v3::kFormatVersion && spo != nullptr) {
-    return Corrupt("v3 file carries a redundant SPO index section");
   }
   if (terms >= kInvalidTermId) return Corrupt("implausible term count");
   if (triples > UINT32_MAX) return Corrupt("implausible triple count");
@@ -209,157 +226,99 @@ Result<std::unique_ptr<MmapStore>> MmapStore::Open(const std::string& path,
   if (triple_sec->length != triples * sizeof(Triple)) {
     return Corrupt("triple section length mismatch");
   }
-  for (const Section* index : {spo, pos, osp}) {
-    if (index != nullptr && index->length != v2::AlignUp(triples * 4)) {
+  for (const Section* perm : {pos, osp}) {
+    if (perm->length != v2::AlignUp(triples * 4)) {
       return Corrupt("permutation index length mismatch");
     }
   }
 
-  if (header.version == v2::kFormatVersion) {
-    const Section* dir = store->FindSection(v2::SectionId::kPostingDir);
-    const Section* dir_entries =
-        store->FindSection(v2::SectionId::kPostingEntries);
-    if ((dir == nullptr) != (dir_entries == nullptr)) {
-      return Corrupt("posting directory sections must come in pairs");
+  // The posting directory addresses block headers which address byte
+  // ranges of the payload section. The O(blocks) geometry is pinned here —
+  // gapless ascending byte ranges, full non-terminal blocks, ceilings in
+  // range and non-increasing per list — so every later header-guided skip
+  // is memory-safe; the O(entries) decode validation lives under the
+  // lazily verified kPostingBlocks section.
+  {
+    if (dir->length < 8) return Corrupt("truncated posting directory");
+    uint64_t count = 0;
+    std::memcpy(&count, dir->data, 8);
+    if (count > (dir->length - 8) / sizeof(v3::BlockPostingDirEntry) ||
+        dir->length !=
+            v2::AlignUp(8 + count * sizeof(v3::BlockPostingDirEntry))) {
+      return Corrupt("posting directory length mismatch");
     }
-    if (dir != nullptr) {
-      if (dir->length < 8) return Corrupt("truncated posting directory");
-      uint64_t count = 0;
-      std::memcpy(&count, dir->data, 8);
-      // Bound the count before the multiply below can wrap.
-      if (count > (dir->length - 8) / sizeof(v2::PostingDirEntry) ||
-          dir->length !=
-              v2::AlignUp(8 + count * sizeof(v2::PostingDirEntry))) {
-        return Corrupt("posting directory length mismatch");
-      }
-      if (dir_entries->length % sizeof(PostingEntry) != 0) {
-        return Corrupt("posting entries length mismatch");
-      }
-      const uint64_t total_entries =
-          dir_entries->length / sizeof(PostingEntry);
-      const auto rows =
-          RecordSpan<v2::PostingDirEntry>(dir->data, /*byte_offset=*/8, count);
-      TermId prev = 0;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        const v2::PostingDirEntry& row = rows[i];
-        if (row.reserved != 0) {
-          return Corrupt("nonzero reserved bits in posting directory");
-        }
-        if (row.predicate >= terms ||
-            (i > 0 && row.predicate <= prev)) {
-          return Corrupt("posting directory predicates not ascending");
-        }
-        prev = row.predicate;
-        if (row.entry_count > total_entries ||
-            row.entry_begin > total_entries - row.entry_count) {
-          return Corrupt("posting directory entry range out of bounds");
-        }
-      }
-      store->postings_.directory = rows;
-      store->postings_.entries =
-          RecordSpan<PostingEntry>(dir_entries->data, 0, total_entries);
-      store->has_posting_directory_ = true;
+    if (index->length % sizeof(PostingBlockHeader) != 0) {
+      return Corrupt("posting block index length mismatch");
     }
-  } else {
-    // v3: the posting directory addresses block headers which address
-    // byte ranges of the payload section. The O(blocks) geometry is
-    // pinned here — gapless ascending byte ranges, full non-terminal
-    // blocks, ceilings in range and non-increasing per list — so every
-    // later header-guided skip is memory-safe; the O(entries) decode
-    // validation lives under the lazily verified kPostingBlocks section.
-    const Section* dir = store->FindSection(v2::SectionId::kPostingDir);
-    const Section* index = store->FindSection(v2::SectionId::kPostingBlockIndex);
-    const Section* blocks = store->FindSection(v2::SectionId::kPostingBlocks);
-    const int present = (dir != nullptr) + (index != nullptr) +
-                        (blocks != nullptr);
-    if (present != 0 && present != 3) {
-      return Corrupt("block posting sections must come as a trio");
-    }
-    if (dir != nullptr) {
-      if (dir->length < 8) return Corrupt("truncated posting directory");
-      uint64_t count = 0;
-      std::memcpy(&count, dir->data, 8);
-      if (count > (dir->length - 8) / sizeof(v3::BlockPostingDirEntry) ||
-          dir->length !=
-              v2::AlignUp(8 + count * sizeof(v3::BlockPostingDirEntry))) {
-        return Corrupt("posting directory length mismatch");
-      }
-      if (index->length % sizeof(PostingBlockHeader) != 0) {
-        return Corrupt("posting block index length mismatch");
-      }
-      const uint64_t total_blocks =
-          index->length / sizeof(PostingBlockHeader);
-      const auto rows = RecordSpan<v3::BlockPostingDirEntry>(
-          dir->data, /*byte_offset=*/8, count);
-      const auto headers =
-          RecordSpan<PostingBlockHeader>(index->data, 0, total_blocks);
+    const uint64_t total_blocks = index->length / sizeof(PostingBlockHeader);
+    const auto rows = RecordSpan<v3::BlockPostingDirEntry>(
+        dir->data, /*byte_offset=*/8, count);
+    const auto headers =
+        RecordSpan<PostingBlockHeader>(index->data, 0, total_blocks);
 
-      TermId prev = 0;
-      uint64_t block_cursor = 0;
-      uint64_t byte_cursor = 0;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        const v3::BlockPostingDirEntry& row = rows[i];
-        if (row.reserved != 0) {
-          return Corrupt("nonzero reserved bits in posting directory");
-        }
-        if (row.predicate >= terms || (i > 0 && row.predicate <= prev)) {
-          return Corrupt("posting directory predicates not ascending");
-        }
-        prev = row.predicate;
-        if (row.block_begin != block_cursor ||
-            row.block_count > total_blocks - block_cursor) {
-          return Corrupt("posting directory block ranges not gapless");
-        }
-        block_cursor += row.block_count;
-        if ((row.entry_count == 0) != (row.block_count == 0)) {
-          return Corrupt("posting directory entry/block count mismatch");
-        }
-        uint64_t entries_in_row = 0;
-        for (uint64_t b = 0; b < row.block_count; ++b) {
-          const PostingBlockHeader& h = headers[row.block_begin + b];
-          if (h.reserved != 0) {
-            return Corrupt("nonzero reserved bits in posting block header");
-          }
-          if (h.entry_count == 0 || h.entry_count > kPostingBlockEntries) {
-            return Corrupt("posting block entry count out of range");
-          }
-          if (b + 1 < row.block_count &&
-              h.entry_count != kPostingBlockEntries) {
-            return Corrupt("non-terminal posting block not full");
-          }
-          if (h.byte_offset != byte_cursor ||
-              h.byte_length > blocks->length - byte_cursor) {
-            return Corrupt("posting block byte ranges not gapless");
-          }
-          byte_cursor += h.byte_length;
-          if (!(h.max_score >= 0.0 && h.max_score <= 1.0)) {
-            return Corrupt("posting block ceiling not normalised");
-          }
-          if (b > 0 &&
-              headers[row.block_begin + b - 1].max_score < h.max_score) {
-            return Corrupt("posting block ceilings not non-increasing");
-          }
-          if (h.min_id > h.max_id || h.max_id >= triples) {
-            return Corrupt("posting block id range out of bounds");
-          }
-          entries_in_row += h.entry_count;
-        }
-        if (entries_in_row != row.entry_count) {
-          return Corrupt("posting directory entry count mismatch");
-        }
+    TermId prev = 0;
+    uint64_t block_cursor = 0;
+    uint64_t byte_cursor = 0;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const v3::BlockPostingDirEntry& row = rows[i];
+      if (row.reserved != 0) {
+        return Corrupt("nonzero reserved bits in posting directory");
       }
-      if (block_cursor != total_blocks) {
-        return Corrupt("unreferenced posting blocks");
+      if (row.predicate >= terms || (i > 0 && row.predicate <= prev)) {
+        return Corrupt("posting directory predicates not ascending");
       }
-      if (v2::AlignUp(byte_cursor) != blocks->length) {
-        return Corrupt("posting block payload length mismatch");
+      prev = row.predicate;
+      if (row.block_begin != block_cursor ||
+          row.block_count > total_blocks - block_cursor) {
+        return Corrupt("posting directory block ranges not gapless");
       }
-      store->block_postings_.directory = rows;
-      store->block_postings_.headers = headers;
-      store->block_postings_.payload = RecordSpan<uint8_t>(
-          blocks->data, 0, byte_cursor);
-      store->has_block_directory_ = true;
+      block_cursor += row.block_count;
+      if ((row.entry_count == 0) != (row.block_count == 0)) {
+        return Corrupt("posting directory entry/block count mismatch");
+      }
+      uint64_t entries_in_row = 0;
+      for (uint64_t b = 0; b < row.block_count; ++b) {
+        const PostingBlockHeader& h = headers[row.block_begin + b];
+        if (h.reserved != 0) {
+          return Corrupt("nonzero reserved bits in posting block header");
+        }
+        if (h.entry_count == 0 || h.entry_count > kPostingBlockEntries) {
+          return Corrupt("posting block entry count out of range");
+        }
+        if (b + 1 < row.block_count && h.entry_count != kPostingBlockEntries) {
+          return Corrupt("non-terminal posting block not full");
+        }
+        if (h.byte_offset != byte_cursor ||
+            h.byte_length > blocks->length - byte_cursor) {
+          return Corrupt("posting block byte ranges not gapless");
+        }
+        byte_cursor += h.byte_length;
+        if (!(h.max_score >= 0.0 && h.max_score <= 1.0)) {
+          return Corrupt("posting block ceiling not normalised");
+        }
+        if (b > 0 &&
+            headers[row.block_begin + b - 1].max_score < h.max_score) {
+          return Corrupt("posting block ceilings not non-increasing");
+        }
+        if (h.min_id > h.max_id || h.max_id >= triples) {
+          return Corrupt("posting block id range out of bounds");
+        }
+        entries_in_row += h.entry_count;
+      }
+      if (entries_in_row != row.entry_count) {
+        return Corrupt("posting directory entry count mismatch");
+      }
     }
+    if (block_cursor != total_blocks) {
+      return Corrupt("unreferenced posting blocks");
+    }
+    if (v2::AlignUp(byte_cursor) != blocks->length) {
+      return Corrupt("posting block payload length mismatch");
+    }
+    store->block_postings_.directory = rows;
+    store->block_postings_.headers = headers;
+    store->block_postings_.payload =
+        RecordSpan<uint8_t>(blocks->data, 0, byte_cursor);
   }
 
   const Section* stats = store->FindSection(v2::SectionId::kStats);
@@ -384,23 +343,10 @@ Result<std::unique_ptr<MmapStore>> MmapStore::Open(const std::string& path,
   Dictionary dict = Dictionary::FromView(
       offsets, dict_blob->data, offsets[terms],
       RecordSpan<uint32_t>(dict_sorted->data, 0, terms));
-  std::span<const uint32_t> spo_span;
-  if (spo != nullptr) {
-    spo_span = RecordSpan<uint32_t>(spo->data, 0, triples);
-  } else {
-    store->synthesised_spo_.resize(triples);
-    for (uint64_t i = 0; i < triples; ++i) {
-      store->synthesised_spo_[i] = static_cast<uint32_t>(i);
-    }
-    spo_span = store->synthesised_spo_;
-  }
   store->store_ = TripleStore::FromView(
       std::move(dict), RecordSpan<Triple>(triple_sec->data, 0, triples),
-      spo_span,
       RecordSpan<uint32_t>(pos->data, 0, triples),
-      RecordSpan<uint32_t>(osp->data, 0, triples),
-      store->has_posting_directory_ ? &store->postings_ : nullptr,
-      store->has_block_directory_ ? &store->block_postings_ : nullptr);
+      RecordSpan<uint32_t>(osp->data, 0, triples), &store->block_postings_);
 
   if (options.verify == Verify::kEager) {
     const Status verified = store->VerifyAllSections();
@@ -470,7 +416,6 @@ Status MmapStore::ValidateSectionValues(const Section& section) const {
       }
       return Status::Ok();
     }
-    case v2::SectionId::kSpoIndex:
     case v2::SectionId::kPosIndex:
     case v2::SectionId::kOspIndex: {
       // Range plus strict ordering under the section's comparator. Over
@@ -479,14 +424,9 @@ Status MmapStore::ValidateSectionValues(const Section& section) const {
       const auto perm = RecordSpan<uint32_t>(section.data, 0, triple_count_);
       const auto triples = store_.triples();
       auto in_order = [&](uint32_t a, uint32_t b) {
-        switch (section.id) {
-          case v2::SectionId::kPosIndex:
-            return OrderPos()(triples[a], triples[b]);
-          case v2::SectionId::kOspIndex:
-            return OrderOsp()(triples[a], triples[b]);
-          default:
-            return OrderSpo()(triples[a], triples[b]);
-        }
+        return section.id == v2::SectionId::kPosIndex
+                   ? OrderPos()(triples[a], triples[b])
+                   : OrderOsp()(triples[a], triples[b]);
       };
       for (size_t i = 0; i < perm.size(); ++i) {
         if (perm[i] >= triple_count_) {
@@ -494,36 +434,6 @@ Status MmapStore::ValidateSectionValues(const Section& section) const {
         }
         if (i > 0 && !in_order(perm[i - 1], perm[i])) {
           return Corrupt("permutation index not in index order");
-        }
-      }
-      return Status::Ok();
-    }
-    case v2::SectionId::kPostingEntries: {
-      // Per-directory-slice invariants: scores normalised into [0, 1],
-      // descending with ties broken by ascending triple index, triple
-      // indexes in range. Lives under the (bulk, lazily verified)
-      // entries section so the metadata pass stays O(terms), not
-      // O(triples). The directory rows themselves — ascending
-      // predicates, slice bounds — were validated structurally at Open.
-      for (const v2::PostingDirEntry& row : postings_.directory) {
-        const auto slice =
-            postings_.entries.subspan(row.entry_begin, row.entry_count);
-        for (size_t i = 0; i < slice.size(); ++i) {
-          const PostingEntry& e = slice[i];
-          if (e.triple_index >= triple_count_) {
-            return Corrupt("posting entry triple index out of range");
-          }
-          if (!(e.score >= 0.0 && e.score <= 1.0)) {
-            return Corrupt("posting entry score not normalised");
-          }
-          if (i > 0) {
-            const PostingEntry& prev = slice[i - 1];
-            if (prev.score < e.score ||
-                (prev.score == e.score &&
-                 prev.triple_index >= e.triple_index)) {
-              return Corrupt("posting entries not in sorted order");
-            }
-          }
         }
       }
       return Status::Ok();
@@ -561,8 +471,8 @@ Status MmapStore::ValidateSectionValues(const Section& section) const {
     }
     default:
       // kDictBlob is free-form bytes; kPostingDir rows were validated
-      // structurally at Open (their entry/block slices are covered under
-      // kPostingEntries / kPostingBlocks); kPostingBlockIndex geometry
+      // structurally at Open (their block slices are covered under
+      // kPostingBlocks); kPostingBlockIndex geometry
       // was pinned at Open and its content agreement is covered by the
       // kPostingBlocks decode pass; kStats values are advisory planner
       // inputs validated for shape at Open.

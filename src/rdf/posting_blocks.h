@@ -15,7 +15,7 @@
 
 namespace specqp {
 
-// Block-compressed posting lists (store format v3, docs/FORMATS.md).
+// Block-compressed posting lists (store format SQPSTOR3, docs/FORMATS.md).
 //
 // A posting list — entries sorted by (normalised score descending, triple
 // index ascending) — is cut into fixed-size blocks of kPostingBlockEntries
@@ -33,7 +33,7 @@ namespace specqp {
 //     non-negative, score ties cost one byte, and decoding reproduces
 //     every score bit-for-bit. This is the "quantisation onto the
 //     IEEE-754 grid": residuals are exact by construction, which is what
-//     keeps v3 answers bit-identical to v2.
+//     keeps answers over block lists bit-identical to flat lists.
 //
 // Every decode path validates: exact byte consumption, header/content
 // agreement (max_score is the first entry's score, min_id/max_id are the

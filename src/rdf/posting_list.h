@@ -24,16 +24,16 @@ namespace specqp {
 // broken by triple index for determinism). This is the "sorted list of
 // matches" every operator in the paper consumes via sorted access.
 //
-// Three backends behind one read interface:
+// Two backends behind one read interface:
 //   * built lists own their entries in `owned` (with `entries` aliasing
 //     it — call Seal() after filling);
-//   * lists opened from a mapped SQPSTOR2 (v2) store point `entries`
-//     straight at the mapped posting-entries section;
-//   * lists opened from a mapped SQPSTOR3 (v3) store carry a
-//     PostingBlockSource in `blocks` and have an EMPTY `entries` span —
-//     their entries exist only block-by-block, decoded on demand.
+//   * block-compressed lists carry a PostingBlockSource in `blocks` and
+//     have an EMPTY `entries` span — their entries exist only
+//     block-by-block, decoded on demand. Lists opened from a mapped store
+//     read the file's blocks in place; lists built over a mapped or
+//     sharded store own their encoded blocks.
 //
-// BlockIterator (below) is the canonical access path and reads all three
+// BlockIterator (below) is the canonical access path and reads both
 // uniformly; code that touches `entries` directly must first check
 // !blocked() (flat-only consumers assert this). Copying is deleted because
 // a copy's span would alias the source's buffer; moves are safe (vector
@@ -53,12 +53,7 @@ struct PostingList {
   // Points `entries` at `owned`; call once `owned` is fully built.
   void Seal() { entries = owned; }
 
-  // A zero-copy list over mapped memory (the caller keeps the mapping
-  // alive; MmapStore guarantees this for cache-held lists).
-  static PostingList View(std::span<const PostingEntry> mapped,
-                          double max_raw_score);
-
-  // A zero-copy block-compressed list over a mapped v3 store's header and
+  // A zero-copy block-compressed list over a mapped store's header and
   // payload sections (the caller keeps the mapping alive). `id_limit`
   // bounds decoded triple indexes (pass the store's triple count).
   static PostingList BlockView(std::span<const PostingBlockHeader> headers,
@@ -180,9 +175,8 @@ class BlockIterator {
 // Builds a posting list for `key` by scanning the store's match range,
 // sorting by score, and normalising. Standalone helper used by the cache
 // and by tests. When the store is a mapped view and `key` is a pure
-// predicate pattern (?s <p> ?o), returns a zero-copy list over the file's
-// posting directory instead of building: a flat span for v2 stores, a
-// block-compressed BlockView for v3 stores.
+// predicate pattern (?s <p> ?o), returns a zero-copy BlockView over the
+// file's posting directory instead of building.
 [[nodiscard]] PostingList BuildPostingList(const TripleStore& store,
                                            const PatternKey& key);
 

@@ -25,7 +25,6 @@ namespace {
 // manifest writer and the bundle reader derive their digests from this,
 // so the two sides agree byte for byte on what is being pinned.
 struct ShardTable {
-  uint32_t version = 0;
   uint64_t file_size = 0;
   uint64_t triple_count = 0;
   uint64_t term_count = 0;
@@ -41,12 +40,8 @@ Result<ShardTable> ReadShardTable(const std::string& path) {
   if (!in.read(reinterpret_cast<char*>(&header), sizeof(header))) {
     return Status::Corruption("shard file shorter than its header: " + path);
   }
-  const bool v2_magic =
-      std::memcmp(header.magic, v2::kMagic, sizeof(header.magic)) == 0;
-  const bool v3_magic =
-      std::memcmp(header.magic, v3::kMagic, sizeof(header.magic)) == 0;
-  if (!v2_magic && !v3_magic) {
-    return Status::Corruption("bad shard file magic: " + path);
+  if (const Status magic = CheckStoreHeader(header); !magic.ok()) {
+    return Status::Corruption(magic.message() + ": " + path);
   }
   if (header.section_count == 0 || header.section_count > v2::kMaxSections) {
     return Status::Corruption("implausible shard section count: " + path);
@@ -97,7 +92,6 @@ Result<ShardTable> ReadShardTable(const std::string& path) {
   }
 
   ShardTable result;
-  result.version = header.version;
   result.file_size = actual_size;
   result.triple_count = header.triple_count;
   result.term_count = header.term_count;
@@ -165,8 +159,7 @@ bool IsBundlePath(const std::string& path) {
 }
 
 Status WriteBundleManifest(const std::string& dir, uint32_t shard_count,
-                           bundle::HashScheme scheme,
-                           uint32_t format_version) {
+                           bundle::HashScheme scheme) {
   if (shard_count == 0 || shard_count > bundle::kMaxShards) {
     return Status::InvalidArgument("bundle shard count out of range");
   }
@@ -176,7 +169,7 @@ Status WriteBundleManifest(const std::string& dir, uint32_t shard_count,
   header.version = bundle::kFormatVersion;
   header.shard_count = shard_count;
   header.hash_scheme = static_cast<uint32_t>(scheme);
-  header.store_format = format_version;
+  header.store_format = v3::kFormatVersion;
 
   std::vector<bundle::ManifestShardEntry> entries(shard_count);
   uint32_t dict_crc0 = 0;
@@ -184,10 +177,6 @@ Status WriteBundleManifest(const std::string& dir, uint32_t shard_count,
     const std::string shard_path =
         (fs::path(dir) / BundleShardFileName(i)).string();
     SPECQP_ASSIGN_OR_RETURN(ShardTable table, ReadShardTable(shard_path));
-    if (table.version != format_version) {
-      return Status::InvalidArgument("shard file format mismatch: " +
-                                     shard_path);
-    }
     if (i == 0) {
       dict_crc0 = table.dict_crc32c;
       header.term_count = table.term_count;
@@ -274,12 +263,8 @@ Status WriteShardBundle(const TripleStore& store, const std::string& dir,
         shard_store.AddEncoded(t.s, t.p, t.o, t.score);
       }
       shard_store.Finalize();
-      SaveStoreOptions save;
-      save.format_version = options.format_version;
-      save.posting_directory = options.posting_directory;
       statuses[shard] = SaveStore(
-          shard_store, (fs::path(dir) / BundleShardFileName(shard)).string(),
-          save);
+          shard_store, (fs::path(dir) / BundleShardFileName(shard)).string());
     });
   }
   if (options.pool != nullptr) {
@@ -289,8 +274,7 @@ Status WriteShardBundle(const TripleStore& store, const std::string& dir,
   }
   for (const Status& status : statuses) SPECQP_RETURN_IF_ERROR(status);
 
-  return WriteBundleManifest(dir, options.shard_count, options.scheme,
-                             options.format_version);
+  return WriteBundleManifest(dir, options.shard_count, options.scheme);
 }
 
 Result<std::unique_ptr<ShardedStore>> ShardedStore::Open(
@@ -328,10 +312,13 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::Open(
       scheme != bundle::HashScheme::kPredicate) {
     return Status::Corruption("unknown bundle hash scheme: " + manifest_path);
   }
-  if (header.store_format != v2::kFormatVersion &&
-      header.store_format != v3::kFormatVersion) {
-    return Status::Corruption("unsupported bundle store format: " +
-                              manifest_path);
+  if (header.store_format != v3::kFormatVersion) {
+    return Status::Corruption(
+        (header.store_format == 1 || header.store_format == 2
+             ? StrFormat("bundle store format %u (SQPSTOR%u) is retired: ",
+                         header.store_format, header.store_format)
+             : std::string("unsupported bundle store format: ")) +
+        manifest_path);
   }
   const size_t expected_size = sizeof(header) +
                                uint64_t{header.shard_count} *
@@ -376,7 +363,6 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::Open(
 
   auto sharded = std::unique_ptr<ShardedStore>(new ShardedStore());
   sharded->scheme_ = scheme;
-  sharded->store_format_ = header.store_format;
   sharded->runtime_ =
       std::make_unique<ShardRuntime[]>(header.shard_count);
   {
@@ -399,17 +385,10 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::Open(
         return Status::IoError("injected fault: shard.open for " + shard_path);
       }
       SPECQP_ASSIGN_OR_RETURN(ShardTable table, ReadShardTable(shard_path));
-      // The digest check precedes the version check so a v2 file smuggled
-      // into a v3 bundle in place of a shard (different bytes, different
-      // digest) reports as the integrity failure it is.
       if (table.file_size != entries[i].file_size ||
           table.table_crc32c != entries[i].table_crc32c) {
         return Status::Corruption(
             "shard file disagrees with manifest digest: " + shard_path);
-      }
-      if (table.version != header.store_format) {
-        return Status::Corruption("shard file format differs from manifest: " +
-                                  shard_path);
       }
       if (table.triple_count != entries[i].triple_count ||
           table.term_count != header.term_count) {
@@ -585,8 +564,7 @@ std::span<const uint32_t> ShardedStore::Match(const PatternKey& key) const {
         restart = true;
         break;
       }
-      const std::span<const uint32_t> local =
-          shards_[s]->store().MatchIndices(key);
+      const IndexRange local = shards_[s]->store().MatchIndices(key);
       scattered[s].reserve(local.size());
       // Bound-check against zero-page garbage: a faulted mapping's index
       // pages read as zeros, which can produce out-of-range locals. The

@@ -156,10 +156,8 @@ void SharedScanCache::Prepare(std::span<const PatternKey> keys) {
             BuildCost(store_->CountMatches(PatternKey{kInvalidTermId, p, o}));
       }
       const size_t base_count = store_->CountMatches(base_key);
-      const MappedPostingLists* mapped = store_->mapped_postings();
       const MappedBlockPostings* blocked = store_->mapped_block_postings();
       const bool base_free =
-          (mapped != nullptr && mapped->Find(p) != nullptr) ||
           (blocked != nullptr && blocked->Find(p) != nullptr) ||
           base_->Peek(base_key) != nullptr;
       double derive_cost = static_cast<double>(base_count);

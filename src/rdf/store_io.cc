@@ -15,9 +15,6 @@ namespace specqp {
 
 namespace {
 
-constexpr char kMagicV1[8] = {'S', 'Q', 'P', 'S', 'T', 'O', 'R', '1'};
-constexpr uint32_t kFormatVersionV1 = 1;
-
 void AppendU16(std::string* buf, uint16_t v) {
   char tmp[2];
   std::memcpy(tmp, &v, 2);
@@ -41,34 +38,6 @@ void AppendF64(std::string* buf, double v) {
   std::memcpy(tmp, &v, 8);
   buf->append(tmp, 8);
 }
-
-// Sequential reader over an in-memory blob with bounds checking.
-class BlobReader {
- public:
-  BlobReader(const char* data, size_t size) : data_(data), size_(size) {}
-
-  bool ReadBytes(void* out, size_t n) {
-    if (pos_ + n > size_) return false;
-    std::memcpy(out, data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  bool ReadU32(uint32_t* v) { return ReadBytes(v, 4); }
-  bool ReadU64(uint64_t* v) { return ReadBytes(v, 8); }
-  bool ReadF64(double* v) { return ReadBytes(v, 8); }
-
-  const char* cursor() const { return data_ + pos_; }
-  size_t remaining() const { return size_ - pos_; }
-  size_t pos() const { return pos_; }
-  void Advance(size_t n) { pos_ += n; }
-
- private:
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
-// --- v2 writer --------------------------------------------------------------
 
 // One serialised section: payload padded to the section alignment with
 // zero bytes that are covered by the CRC, so the written file has no
@@ -106,15 +75,12 @@ void AppendIndexSection(std::vector<SectionBuf>* sections, v2::SectionId id,
 }
 
 Status WriteSections(const std::string& path, std::vector<SectionBuf> sections,
-                     uint64_t triple_count, uint64_t term_count,
-                     uint32_t format_version) {
+                     uint64_t triple_count, uint64_t term_count) {
   for (SectionBuf& section : sections) PadSection(&section.payload);
 
   v2::FileHeader header{};
-  std::memcpy(header.magic,
-              format_version == v3::kFormatVersion ? v3::kMagic : v2::kMagic,
-              sizeof(v2::kMagic));
-  header.version = format_version;
+  std::memcpy(header.magic, v3::kMagic, sizeof(v3::kMagic));
+  header.version = v3::kFormatVersion;
   header.section_count = static_cast<uint32_t>(sections.size());
   header.triple_count = triple_count;
   header.term_count = term_count;
@@ -152,8 +118,8 @@ Status WriteSections(const std::string& path, std::vector<SectionBuf> sections,
 }
 
 // Walks a posting list through the canonical BlockIterator path so the
-// writer handles flat, mapped-flat, and block-compressed lists uniformly
-// (re-saving a store opened from a mapped v3 file included).
+// writer handles flat and block-compressed lists uniformly (re-saving a
+// store opened from a mapped file included).
 std::vector<PostingEntry> MaterializeEntries(const PostingList& list) {
   std::vector<PostingEntry> out;
   out.reserve(list.size());
@@ -161,6 +127,31 @@ std::vector<PostingEntry> MaterializeEntries(const PostingList& list) {
     out.push_back(it.Entry());
   }
   return out;
+}
+
+// Materialises an owned store from a (checksum-verified) mapped file. The
+// zero-copy path is MmapStore itself.
+Result<TripleStore> MaterializeMapped(const MmapStore& mapped) {
+  const TripleStore& view = mapped.store();
+  const Dictionary& view_dict = view.dict();
+  TripleStore store;
+  for (TermId id = 0; id < view_dict.size(); ++id) {
+    if (store.dict().Intern(view_dict.Name(id)) != id) {
+      return Status::Corruption("duplicate term in dictionary section");
+    }
+  }
+  const size_t dict_size = store.dict().size();
+  for (const Triple& t : view.triples()) {
+    if (t.s >= dict_size || t.p >= dict_size || t.o >= dict_size) {
+      return Status::Corruption("triple references unknown term id");
+    }
+    if (!(t.score >= 0.0)) {
+      return Status::Corruption("triple has invalid score");
+    }
+    store.AddEncoded(t.s, t.p, t.o, t.score);
+  }
+  store.Finalize();
+  return store;
 }
 
 }  // namespace
@@ -175,12 +166,6 @@ Status SaveStore(const TripleStore& store, const std::string& path,
     // shard files are already on disk (rdf/sharded_store.h owns them).
     return Status::FailedPrecondition(
         "SaveStore cannot serialise a sharded store facade");
-  }
-  if (options.format_version != v2::kFormatVersion &&
-      options.format_version != v3::kFormatVersion) {
-    return Status::InvalidArgument(
-        StrFormat("SaveStore cannot write format version %u",
-                  options.format_version));
   }
   const Dictionary& dict = store.dict();
   const std::span<const Triple> triples = store.triples();
@@ -210,7 +195,7 @@ Status SaveStore(const TripleStore& store, const std::string& path,
     sections.push_back(std::move(sorted));
   }
 
-  // Triple array (SPO order, padding bytes zeroed) + permutation indexes.
+  // Triple array (SPO order, padding bytes zeroed) + POS/OSP indexes.
   {
     SectionBuf section{v2::SectionId::kTriples, {}};
     section.payload.reserve(triples.size() * sizeof(Triple));
@@ -223,25 +208,17 @@ Status SaveStore(const TripleStore& store, const std::string& path,
     }
     sections.push_back(std::move(section));
 
-    // The SPO permutation of an SPO-sorted triple array is the identity;
-    // v3 stops spending file bytes on it (readers synthesise the view),
-    // while v2 keeps its frozen layout.
-    if (options.format_version != v3::kFormatVersion) {
-      std::vector<uint32_t> identity(triples.size());
-      for (uint32_t i = 0; i < identity.size(); ++i) identity[i] = i;
-      AppendIndexSection(&sections, v2::SectionId::kSpoIndex, identity);
-    }
+    // The SPO order is the triple array's own, so it needs no section.
     AppendIndexSection(&sections, v2::SectionId::kPosIndex,
                        SortedPermutation<OrderPos>(triples));
     AppendIndexSection(&sections, v2::SectionId::kOspIndex,
                        SortedPermutation<OrderOsp>(triples));
   }
 
-  // Per-predicate posting directory: every (?s <p> ?o) list, normalised
-  // and pre-sorted, so mapped stores serve them zero-copy. v2 stores the
-  // entries flat; v3 stores them block-compressed with a shared header
-  // array (rdf/posting_blocks.h).
-  if (options.posting_directory) {
+  // Per-predicate posting directory: every (?s <p> ?o) list, normalised,
+  // pre-sorted and block-compressed with a shared header array
+  // (rdf/posting_blocks.h), so mapped stores serve them zero-copy.
+  {
     std::vector<TermId> predicates;
     predicates.reserve(triples.size());
     for (const Triple& t : triples) predicates.push_back(t.p);
@@ -249,67 +226,43 @@ Status SaveStore(const TripleStore& store, const std::string& path,
     predicates.erase(std::unique(predicates.begin(), predicates.end()),
                      predicates.end());
 
-    if (options.format_version == v3::kFormatVersion) {
-      SectionBuf dir{v2::SectionId::kPostingDir, {}};
-      SectionBuf index{v2::SectionId::kPostingBlockIndex, {}};
-      SectionBuf blocks{v2::SectionId::kPostingBlocks, {}};
-      AppendU64(&dir.payload, predicates.size());
-      uint64_t block_cursor = 0;
-      for (TermId p : predicates) {
-        const PostingList list = BuildPostingList(
-            store, PatternKey{kInvalidTermId, p, kInvalidTermId});
-        const std::vector<PostingEntry> flat = MaterializeEntries(list);
-        const EncodedPostingBlocks encoded =
-            EncodePostingBlocks(flat.data(), flat.size());
-        AppendU32(&dir.payload, p);
-        AppendU32(&dir.payload, 0);  // reserved
-        AppendU64(&dir.payload, block_cursor);
-        AppendU64(&dir.payload, encoded.headers.size());
-        AppendU64(&dir.payload, flat.size());
-        AppendF64(&dir.payload, list.max_raw_score);
-        // The encoder's offsets are list-local; rebase onto this file's
-        // shared payload section.
-        const uint64_t payload_base = blocks.payload.size();
-        for (const PostingBlockHeader& h : encoded.headers) {
-          AppendU64(&index.payload, h.byte_offset + payload_base);
-          AppendU32(&index.payload, h.byte_length);
-          AppendU16(&index.payload, h.entry_count);
-          AppendU16(&index.payload, 0);  // reserved
-          AppendF64(&index.payload, h.max_score);
-          AppendU32(&index.payload, h.min_id);
-          AppendU32(&index.payload, h.max_id);
-        }
-        blocks.payload.append(
-            reinterpret_cast<const char*>(encoded.payload.data()),
-            encoded.payload.size());
-        block_cursor += encoded.headers.size();
+    SectionBuf dir{v2::SectionId::kPostingDir, {}};
+    SectionBuf index{v2::SectionId::kPostingBlockIndex, {}};
+    SectionBuf blocks{v2::SectionId::kPostingBlocks, {}};
+    AppendU64(&dir.payload, predicates.size());
+    uint64_t block_cursor = 0;
+    for (TermId p : predicates) {
+      const PostingList list = BuildPostingList(
+          store, PatternKey{kInvalidTermId, p, kInvalidTermId});
+      const std::vector<PostingEntry> flat = MaterializeEntries(list);
+      const EncodedPostingBlocks encoded =
+          EncodePostingBlocks(flat.data(), flat.size());
+      AppendU32(&dir.payload, p);
+      AppendU32(&dir.payload, 0);  // reserved
+      AppendU64(&dir.payload, block_cursor);
+      AppendU64(&dir.payload, encoded.headers.size());
+      AppendU64(&dir.payload, flat.size());
+      AppendF64(&dir.payload, list.max_raw_score);
+      // The encoder's offsets are list-local; rebase onto this file's
+      // shared payload section.
+      const uint64_t payload_base = blocks.payload.size();
+      for (const PostingBlockHeader& h : encoded.headers) {
+        AppendU64(&index.payload, h.byte_offset + payload_base);
+        AppendU32(&index.payload, h.byte_length);
+        AppendU16(&index.payload, h.entry_count);
+        AppendU16(&index.payload, 0);  // reserved
+        AppendF64(&index.payload, h.max_score);
+        AppendU32(&index.payload, h.min_id);
+        AppendU32(&index.payload, h.max_id);
       }
-      sections.push_back(std::move(dir));
-      sections.push_back(std::move(index));
-      sections.push_back(std::move(blocks));
-    } else {
-      SectionBuf dir{v2::SectionId::kPostingDir, {}};
-      SectionBuf entries{v2::SectionId::kPostingEntries, {}};
-      AppendU64(&dir.payload, predicates.size());
-      uint64_t entry_cursor = 0;
-      for (TermId p : predicates) {
-        const PostingList list = BuildPostingList(
-            store, PatternKey{kInvalidTermId, p, kInvalidTermId});
-        AppendU32(&dir.payload, p);
-        AppendU32(&dir.payload, 0);  // reserved
-        AppendU64(&dir.payload, entry_cursor);
-        AppendU64(&dir.payload, list.size());
-        AppendF64(&dir.payload, list.max_raw_score);
-        for (const PostingEntry& e : MaterializeEntries(list)) {
-          AppendU32(&entries.payload, e.triple_index);
-          AppendU32(&entries.payload, 0);  // struct padding, CRC-covered
-          AppendF64(&entries.payload, e.score);
-        }
-        entry_cursor += list.size();
-      }
-      sections.push_back(std::move(dir));
-      sections.push_back(std::move(entries));
+      blocks.payload.append(
+          reinterpret_cast<const char*>(encoded.payload.data()),
+          encoded.payload.size());
+      block_cursor += encoded.headers.size();
     }
+    sections.push_back(std::move(dir));
+    sections.push_back(std::move(index));
+    sections.push_back(std::move(blocks));
   }
 
   // Statistics snapshot.
@@ -335,229 +288,21 @@ Status SaveStore(const TripleStore& store, const std::string& path,
     sections.push_back(std::move(section));
   }
 
-  return WriteSections(path, std::move(sections), triples.size(), dict.size(),
-                       options.format_version);
+  return WriteSections(path, std::move(sections), triples.size(), dict.size());
 }
-
-Status SaveStoreV1(const TripleStore& store, const std::string& path) {
-  if (!store.finalized()) {
-    return Status::FailedPrecondition("SaveStore requires a finalized store");
-  }
-  if (store.is_sharded()) {
-    return Status::FailedPrecondition(
-        "SaveStore cannot serialise a sharded store facade");
-  }
-
-  std::string dict_section;
-  const Dictionary& dict = store.dict();
-  AppendU32(&dict_section, static_cast<uint32_t>(dict.size()));
-  for (TermId id = 0; id < dict.size(); ++id) {
-    std::string_view name = dict.Name(id);
-    AppendU32(&dict_section, static_cast<uint32_t>(name.size()));
-    dict_section.append(name);
-  }
-
-  std::string triple_section;
-  AppendU64(&triple_section, store.size());
-  for (const Triple& t : store.triples()) {
-    AppendU32(&triple_section, t.s);
-    AppendU32(&triple_section, t.p);
-    AppendU32(&triple_section, t.o);
-    AppendF64(&triple_section, t.score);
-  }
-
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IoError(StrFormat("cannot open '%s' for writing",
-                                     path.c_str()));
-  }
-  out.write(kMagicV1, sizeof(kMagicV1));
-  uint32_t version = kFormatVersionV1;
-  out.write(reinterpret_cast<const char*>(&version), 4);
-
-  for (const std::string* section : {&dict_section, &triple_section}) {
-    out.write(section->data(), static_cast<std::streamsize>(section->size()));
-    const uint32_t crc = Crc32c(section->data(), section->size());
-    out.write(reinterpret_cast<const char*>(&crc), 4);
-  }
-  out.flush();
-  if (!out) {
-    return Status::IoError(StrFormat("short write to '%s'", path.c_str()));
-  }
-  return Status::Ok();
-}
-
-namespace {
-
-Result<TripleStore> LoadStoreV1(const std::string& blob) {
-  BlobReader reader(blob.data(), blob.size());
-  char magic[8];
-  if (!reader.ReadBytes(magic, 8) ||
-      std::memcmp(magic, kMagicV1, 8) != 0) {
-    return Status::Corruption("bad magic; not a Spec-QP store file");
-  }
-  uint32_t version = 0;
-  if (!reader.ReadU32(&version)) return Status::Corruption("truncated header");
-  if (version != kFormatVersionV1) {
-    return Status::Corruption(StrFormat("unsupported version %u", version));
-  }
-
-  TripleStore store;
-
-  // Dictionary section.
-  {
-    const char* section_start = reader.cursor();
-    uint32_t term_count = 0;
-    if (!reader.ReadU32(&term_count)) {
-      return Status::Corruption("truncated dictionary header");
-    }
-    for (uint32_t i = 0; i < term_count; ++i) {
-      uint32_t len = 0;
-      if (!reader.ReadU32(&len) || reader.remaining() < len) {
-        return Status::Corruption("truncated dictionary entry");
-      }
-      std::string_view name(reader.cursor(), len);
-      reader.Advance(len);
-      const TermId id = store.dict().Intern(name);
-      if (id != i) {
-        return Status::Corruption("duplicate term in dictionary section");
-      }
-    }
-    const size_t section_len =
-        static_cast<size_t>(reader.cursor() - section_start);
-    uint32_t stored_crc = 0;
-    if (!reader.ReadU32(&stored_crc)) {
-      return Status::Corruption("missing dictionary CRC");
-    }
-    if (Crc32c(section_start, section_len) != stored_crc) {
-      return Status::Corruption("dictionary section CRC mismatch");
-    }
-  }
-
-  // Triple section.
-  {
-    const char* section_start = reader.cursor();
-    uint64_t triple_count = 0;
-    if (!reader.ReadU64(&triple_count)) {
-      return Status::Corruption("truncated triple header");
-    }
-    const size_t dict_size = store.dict().size();
-    for (uint64_t i = 0; i < triple_count; ++i) {
-      uint32_t s = 0;
-      uint32_t p = 0;
-      uint32_t o = 0;
-      double score = 0.0;
-      if (!reader.ReadU32(&s) || !reader.ReadU32(&p) || !reader.ReadU32(&o) ||
-          !reader.ReadF64(&score)) {
-        return Status::Corruption("truncated triple entry");
-      }
-      if (s >= dict_size || p >= dict_size || o >= dict_size) {
-        return Status::Corruption("triple references unknown term id");
-      }
-      if (!(score >= 0.0)) {
-        return Status::Corruption("triple has invalid score");
-      }
-      store.AddEncoded(s, p, o, score);
-    }
-    const size_t section_len =
-        static_cast<size_t>(reader.cursor() - section_start);
-    uint32_t stored_crc = 0;
-    if (!reader.ReadU32(&stored_crc)) {
-      return Status::Corruption("missing triple CRC");
-    }
-    if (Crc32c(section_start, section_len) != stored_crc) {
-      return Status::Corruption("triple section CRC mismatch");
-    }
-  }
-
-  if (reader.remaining() != 0) {
-    return Status::Corruption("trailing bytes after triple section");
-  }
-
-  store.Finalize();
-  return store;
-}
-
-// Materialises an owned store from a (checksum-verified) mapped v2/v3
-// file. This is the compatibility path: the zero-copy path is MmapStore
-// itself.
-Result<TripleStore> MaterializeMapped(const MmapStore& mapped) {
-  const TripleStore& view = mapped.store();
-  const Dictionary& view_dict = view.dict();
-  TripleStore store;
-  for (TermId id = 0; id < view_dict.size(); ++id) {
-    if (store.dict().Intern(view_dict.Name(id)) != id) {
-      return Status::Corruption("duplicate term in dictionary section");
-    }
-  }
-  const size_t dict_size = store.dict().size();
-  for (const Triple& t : view.triples()) {
-    if (t.s >= dict_size || t.p >= dict_size || t.o >= dict_size) {
-      return Status::Corruption("triple references unknown term id");
-    }
-    if (!(t.score >= 0.0)) {
-      return Status::Corruption("triple has invalid score");
-    }
-    store.AddEncoded(t.s, t.p, t.o, t.score);
-  }
-  store.Finalize();
-  return store;
-}
-
-}  // namespace
 
 Result<TripleStore> LoadStore(const std::string& path) {
   if (FaultShouldFail("store.open")) {
     return Status::IoError(
         StrFormat("injected fault: store.open for '%s'", path.c_str()));
   }
-  SPECQP_ASSIGN_OR_RETURN(const uint32_t version, PeekStoreVersion(path));
-  if (version == v2::kFormatVersion || version == v3::kFormatVersion) {
-    // Full (eager) checksum verification before any byte is trusted —
-    // for v3 this includes decode-validating every posting block.
-    MmapStore::Options options;
-    options.verify = MmapStore::Verify::kEager;
-    SPECQP_ASSIGN_OR_RETURN(std::unique_ptr<MmapStore> mapped,
-                            MmapStore::Open(path, options));
-    return MaterializeMapped(*mapped);
-  }
-
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    return Status::IoError(StrFormat("cannot open '%s'", path.c_str()));
-  }
-  const std::streamsize file_size = in.tellg();
-  in.seekg(0);
-  std::string blob(static_cast<size_t>(file_size), '\0');
-  in.read(blob.data(), file_size);
-  if (!in) {
-    return Status::IoError(StrFormat("short read from '%s'", path.c_str()));
-  }
-  return LoadStoreV1(blob);
-}
-
-Result<uint32_t> PeekStoreVersion(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IoError(StrFormat("cannot open '%s'", path.c_str()));
-  }
-  char magic[8] = {};
-  uint32_t version = 0;
-  in.read(magic, sizeof(magic));
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  if (!in) return Status::Corruption("truncated header");
-  const bool v1_magic = std::memcmp(magic, kMagicV1, 8) == 0;
-  const bool v2_magic = std::memcmp(magic, v2::kMagic, 8) == 0;
-  const bool v3_magic = std::memcmp(magic, v3::kMagic, 8) == 0;
-  if (!v1_magic && !v2_magic && !v3_magic) {
-    return Status::Corruption("bad magic; not a Spec-QP store file");
-  }
-  if ((v1_magic && version != kFormatVersionV1) ||
-      (v2_magic && version != v2::kFormatVersion) ||
-      (v3_magic && version != v3::kFormatVersion)) {
-    return Status::Corruption(StrFormat("unsupported version %u", version));
-  }
-  return version;
+  // Full (eager) checksum verification before any byte is trusted,
+  // including a decode-validating pass over every posting block.
+  MmapStore::Options options;
+  options.verify = MmapStore::Verify::kEager;
+  SPECQP_ASSIGN_OR_RETURN(std::unique_ptr<MmapStore> mapped,
+                          MmapStore::Open(path, options));
+  return MaterializeMapped(*mapped);
 }
 
 }  // namespace specqp

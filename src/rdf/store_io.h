@@ -12,45 +12,32 @@
 
 namespace specqp {
 
-// Serialised store files. The byte-level format specifications (v1
-// "SQPSTOR1", v2 "SQPSTOR2", v3 "SQPSTOR3") live in docs/FORMATS.md; the
-// shared record structs live in rdf/store_format.h.
+// Serialised store files. The byte-level format specification
+// ("SQPSTOR3") lives in docs/FORMATS.md; the shared record structs live in
+// rdf/store_format.h.
 //
 // Public API contract:
 //
-//  * SaveStore writes format v3 by default (format_version selects 2): a
-//    section-table layout whose sections (dictionary, triple array,
-//    permutation indexes, per-predicate posting directory, optional
-//    statistics snapshot) can be memory-mapped and used in place by
-//    MmapStore (rdf/mmap_store.h) with no per-triple parsing. v3 stores
-//    the posting lists block-compressed (rdf/posting_blocks.h) — a
-//    fraction of the flat v2 bytes, decoded block-by-block on demand.
-//    Requires a finalized store; deterministic byte-for-byte for a given
-//    store + options.
-//  * SaveStoreV1 writes the legacy v1 stream; kept so migration (and the
-//    v1-vs-v2 load benchmark) can produce old files.
-//  * LoadStore reads ALL versions into an owned, finalized TripleStore,
-//    re-verifying every section checksum. This is the migration and
-//    compatibility path — for the O(ms) zero-copy path over v2/v3 files
-//    use MmapStore::Open instead.
-//  * PeekStoreVersion reads just the file header (1/2/3) so callers
-//    (e.g. Engine::OpenFromPath) can pick mmap vs parse.
+//  * SaveStore writes a section-table layout whose sections (dictionary,
+//    triple array, POS/OSP permutation indexes, block-compressed
+//    per-predicate posting lists, optional statistics snapshot) can be
+//    memory-mapped and used in place by MmapStore (rdf/mmap_store.h) with
+//    no per-triple parsing. Posting lists are stored block-compressed
+//    (rdf/posting_blocks.h) and decoded block-by-block on demand. The SPO
+//    order needs no section: it is the triple array's own order. Requires
+//    a finalized store; deterministic byte-for-byte for a given store +
+//    options.
+//  * LoadStore maps the file, re-verifies every section checksum and
+//    value invariant, and materialises an owned, finalized TripleStore —
+//    the reference backend tests compare the zero-copy path against. For
+//    the O(ms) zero-copy path use MmapStore::Open instead.
 //
 // All load paths return Status::Corruption on malformed input (bad magic,
-// truncation, checksum mismatch, misaligned or overlapping sections,
-// out-of-range ids) and never CHECK-fail on untrusted bytes.
+// a retired SQPSTOR1/SQPSTOR2 file, truncation, checksum mismatch,
+// misaligned or overlapping sections, out-of-range ids) and never
+// CHECK-fail on untrusted bytes.
 
 struct SaveStoreOptions {
-  // Target on-disk format: 3 (block-compressed postings, the default) or
-  // 2 (flat postings, for compatibility round-trips and A/B probes).
-  uint32_t format_version = 3;
-
-  // Embed the per-predicate posting-list directory (sections kPostingDir +
-  // kPostingEntries in v2; kPostingDir + kPostingBlockIndex +
-  // kPostingBlocks in v3), giving mapped stores zero-copy posting lists
-  // for every (?s <p> ?o) pattern.
-  bool posting_directory = true;
-
   // Optional statistics snapshot (section kStats): the memoised
   // PatternStats rows of a StatisticsCatalog, exported via
   // StatisticsCatalog::Snapshot(). Rows are written sorted by key;
@@ -63,11 +50,7 @@ struct SaveStoreOptions {
 [[nodiscard]] Status SaveStore(const TripleStore& store, const std::string& path,
                  const SaveStoreOptions& options = {});
 
-[[nodiscard]] Status SaveStoreV1(const TripleStore& store, const std::string& path);
-
 [[nodiscard]] Result<TripleStore> LoadStore(const std::string& path);
-
-[[nodiscard]] Result<uint32_t> PeekStoreVersion(const std::string& path);
 
 }  // namespace specqp
 

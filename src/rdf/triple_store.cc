@@ -14,19 +14,17 @@ namespace {
 // -inf/+inf wildcard depending on the bound used. We instead compare only
 // the bound prefix, so equal_range over the prefix yields the match range.
 
+// Orders an SPO-sorted triple against the bound prefix of a key, so
+// equal_range over the triple array itself yields the match run.
 struct SpoPrefixLess {
-  std::span<const Triple> triples;
-  // key packs (s, p, o); prefix_len in [0,3]
-  int prefix_len;
-  bool operator()(uint32_t idx, const PatternKey& k) const {
-    const Triple& t = triples[idx];
+  int prefix_len;  // over (s, p, o)
+  bool operator()(const Triple& t, const PatternKey& k) const {
     if (prefix_len >= 1 && t.s != k.s) return t.s < k.s;
     if (prefix_len >= 2 && t.p != k.p) return t.p < k.p;
     if (prefix_len >= 3 && t.o != k.o) return t.o < k.o;
     return false;
   }
-  bool operator()(const PatternKey& k, uint32_t idx) const {
-    const Triple& t = triples[idx];
+  bool operator()(const PatternKey& k, const Triple& t) const {
     if (prefix_len >= 1 && t.s != k.s) return k.s < t.s;
     if (prefix_len >= 2 && t.p != k.p) return k.p < t.p;
     if (prefix_len >= 3 && t.o != k.o) return k.o < t.o;
@@ -72,24 +70,18 @@ struct OspPrefixLess {
 
 TripleStore TripleStore::FromView(Dictionary dict,
                                   std::span<const Triple> triples,
-                                  std::span<const uint32_t> spo,
                                   std::span<const uint32_t> pos,
                                   std::span<const uint32_t> osp,
-                                  const MappedPostingLists* postings,
                                   const MappedBlockPostings* block_postings) {
-  SPECQP_CHECK(spo.size() == triples.size() && pos.size() == triples.size() &&
-               osp.size() == triples.size());
-  SPECQP_CHECK(postings == nullptr || block_postings == nullptr)
-      << "a store has either a flat or a block posting directory";
+  SPECQP_CHECK(pos.size() == triples.size() && osp.size() == triples.size());
+  SPECQP_CHECK(block_postings != nullptr);
   TripleStore store;
   store.dict_ = std::move(dict);
   store.view_ = true;
   store.finalized_ = true;  // view stores are born finalized
   store.triples_view_ = triples;
-  store.spo_view_ = spo;
   store.pos_view_ = pos;
   store.osp_view_ = osp;
-  store.mapped_postings_ = postings;
   store.mapped_block_postings_ = block_postings;
   return store;
 }
@@ -132,11 +124,9 @@ void TripleStore::Finalize() {
       triples_.end());
 
   const uint32_t n = static_cast<uint32_t>(triples_.size());
-  spo_.resize(n);
   pos_.resize(n);
   osp_.resize(n);
-  for (uint32_t i = 0; i < n; ++i) spo_[i] = pos_[i] = osp_[i] = i;
-  // triples_ is already SPO-sorted, so spo_ is the identity permutation.
+  for (uint32_t i = 0; i < n; ++i) pos_[i] = osp_[i] = i;
   std::sort(pos_.begin(), pos_.end(), [this](uint32_t a, uint32_t b) {
     return OrderPos()(triples_[a], triples_[b]);
   });
@@ -150,22 +140,22 @@ void TripleStore::CheckFinalized() const {
   SPECQP_CHECK(finalized_) << "TripleStore queried before Finalize()";
 }
 
-std::span<const uint32_t> TripleStore::MatchIndices(
-    const PatternKey& key) const {
+IndexRange TripleStore::MatchIndices(const PatternKey& key) const {
   CheckFinalized();
   if (sharded_ != nullptr) {
     // Scatter-gather backend: the source merges the shards' per-index
     // subranges into the same value order the branches below produce.
-    return sharded_->Match(key);
+    return IndexRange(sharded_->Match(key));
   }
   const bool sb = key.s_bound();
   const bool pb = key.p_bound();
   const bool ob = key.o_bound();
 
   const std::span<const Triple> rows = triples();
-  auto make_span = [](std::span<const uint32_t> idx, auto range) {
-    return idx.subspan(static_cast<size_t>(range.first - idx.begin()),
-                       static_cast<size_t>(range.second - range.first));
+  auto make_slice = [](std::span<const uint32_t> idx, auto range) {
+    return IndexRange(
+        idx.subspan(static_cast<size_t>(range.first - idx.begin()),
+                    static_cast<size_t>(range.second - range.first)));
   };
 
   if (sb) {
@@ -174,28 +164,30 @@ std::span<const uint32_t> TripleStore::MatchIndices(
       const auto osp = OspIndex();
       auto r = std::equal_range(osp.begin(), osp.end(), key,
                                 OspPrefixLess{rows, 2});
-      return make_span(osp, r);
+      return make_slice(osp, r);
     }
+    // The triple array is SPO-sorted, so the SPO matches are the run of
+    // rows sharing the bound prefix — no index needed.
     const int prefix = 1 + (pb ? 1 : 0) + ((pb && ob) ? 1 : 0);
-    const auto spo = SpoIndex();
-    auto r = std::equal_range(spo.begin(), spo.end(), key,
-                              SpoPrefixLess{rows, prefix});
-    return make_span(spo, r);
+    auto r = std::equal_range(rows.begin(), rows.end(), key,
+                              SpoPrefixLess{prefix});
+    return IndexRange::Run(static_cast<uint32_t>(r.first - rows.begin()),
+                           static_cast<uint32_t>(r.second - r.first));
   }
   if (pb) {
     const int prefix = 1 + (ob ? 1 : 0);
     const auto pos = PosIndex();
     auto r = std::equal_range(pos.begin(), pos.end(), key,
                               PosPrefixLess{rows, prefix});
-    return make_span(pos, r);
+    return make_slice(pos, r);
   }
   if (ob) {
     const auto osp = OspIndex();
     auto r = std::equal_range(osp.begin(), osp.end(), key,
                               OspPrefixLess{rows, 1});
-    return make_span(osp, r);
+    return make_slice(osp, r);
   }
-  return SpoIndex();
+  return IndexRange::Run(0, static_cast<uint32_t>(rows.size()));
 }
 
 bool TripleStore::Contains(TermId s, TermId p, TermId o) const {

@@ -1,8 +1,10 @@
 #ifndef SPECQP_RDF_TRIPLE_STORE_H_
 #define SPECQP_RDF_TRIPLE_STORE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <span>
 #include <vector>
 
@@ -15,8 +17,73 @@
 
 namespace specqp {
 
-struct MappedPostingLists;   // rdf/store_format.h
 struct MappedBlockPostings;  // rdf/store_format.h
+
+// The triple indices matching one pattern, in index order (see
+// TripleStore::MatchIndices). Either a slice of a stored index — POS, OSP,
+// or a sharded facade's merged list — or, on the SPO route, the contiguous
+// run [first, first + count) of the SPO-sorted triple array itself, which
+// needs no index at all. A slice aliases the index it was cut from.
+class IndexRange {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = uint32_t;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = uint32_t;
+
+    iterator() = default;
+    uint32_t operator*() const { return slice_ != nullptr ? slice_[i_] : i_; }
+    iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator before = *this;
+      ++i_;
+      return before;
+    }
+    bool operator==(const iterator& other) const { return i_ == other.i_; }
+
+   private:
+    friend class IndexRange;
+    iterator(const uint32_t* slice, uint32_t i) : slice_(slice), i_(i) {}
+    const uint32_t* slice_ = nullptr;  // null: a run, *it is the position
+    uint32_t i_ = 0;
+  };
+
+  IndexRange() = default;
+  explicit IndexRange(std::span<const uint32_t> slice)
+      : slice_(slice.data()), count_(static_cast<uint32_t>(slice.size())) {}
+  static IndexRange Run(uint32_t first, uint32_t count) {
+    IndexRange range;
+    range.first_ = first;
+    range.count_ = count;
+    return range;
+  }
+
+  size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+  uint32_t operator[](size_t i) const {
+    return slice_ != nullptr ? slice_[i] : first_ + static_cast<uint32_t>(i);
+  }
+  // A slice iterates positions [0, count) of its data; a run iterates the
+  // triple indices [first, first + count) themselves.
+  iterator begin() const {
+    return slice_ != nullptr ? iterator(slice_, 0) : iterator(nullptr, first_);
+  }
+  iterator end() const {
+    return slice_ != nullptr ? iterator(slice_, count_)
+                             : iterator(nullptr, first_ + count_);
+  }
+
+ private:
+  const uint32_t* slice_ = nullptr;
+  uint32_t first_ = 0;
+  uint32_t count_ = 0;
+};
 
 // Backend interface of a sharded (bundle-backed) TripleStore facade: the
 // triples live in N cooperating mapped shard stores, addressed through a
@@ -40,10 +107,6 @@ class ShardedTripleSource {
   // MatchIndices uses (gathered from the shards' indexes and merged).
   // The span stays valid for the source's lifetime.
   virtual std::span<const uint32_t> Match(const PatternKey& key) const = 0;
-
-  // True when the shards serve block-compressed (v3) postings, so
-  // facade-built posting lists should be block-encoded too.
-  virtual bool blocked_postings() const = 0;
 
   // --- failure surface (rdf/mapped_fault.h, degraded reads) ---------------
   //
@@ -69,16 +132,19 @@ class ShardedTripleSource {
   virtual void PollFaults() const {}
 };
 
-// In-memory scored triple store with three permutation indexes (SPO, POS,
-// OSP). Together they answer every bound/free combination of a triple
-// pattern with a binary-searched contiguous range:
+// In-memory scored triple store: an SPO-sorted triple array plus two
+// permutation indexes (POS, OSP). Together they answer every bound/free
+// combination of a triple pattern with a binary-searched contiguous range:
 //
-//   bound slots      index    prefix
+//   bound slots      order    prefix
 //   --------------   ------   -----------
 //   (none)           SPO      full scan
 //   s / s,p / s,p,o  SPO      (s) / (s,p) / (s,p,o)
 //   p / p,o          POS      (p) / (p,o)
 //   o / o,s          OSP      (o) / (o,s)
+//
+// The SPO order is the triple array's own order, so an SPO match is a run
+// of triple indices and needs no permutation.
 //
 // This plays the role PostgreSQL played in the paper: the source of the
 // matches of a triple pattern (posting_list.h adds the ORDER BY score DESC
@@ -89,11 +155,11 @@ class ShardedTripleSource {
 // the maximum score.
 //
 // A second, read-only backend (FromView) serves the same query interface
-// zero-copy over a memory-mapped SQPSTOR2 file: the triple array and the
-// three permutation indexes are spans into the mapping, so opening does no
-// per-triple parsing and no index build (see rdf/mmap_store.h and
-// docs/FORMATS.md). View stores are born finalized; Add/AddEncoded on
-// them CHECK-fail.
+// zero-copy over a memory-mapped SQPSTOR3 file: the triple array and the
+// two permutation indexes are spans into the mapping, so opening does no
+// per-triple parsing, no index build and no allocation proportional to
+// the triple count (see rdf/mmap_store.h and docs/FORMATS.md). View stores
+// are born finalized; Add/AddEncoded on them CHECK-fail.
 class TripleStore {
  public:
   TripleStore() = default;
@@ -104,19 +170,15 @@ class TripleStore {
   TripleStore& operator=(TripleStore&&) = default;
 
   // View-backed construction over mapped memory. `triples` must be in SPO
-  // order, `spo`/`pos`/`osp` the matching permutations of its indices, and
-  // at most one of `postings` (v2 flat directory) / `block_postings` (v3
-  // block directory) non-null. The caller (MmapStore) owns the mapping and
-  // guarantees it outlives the store and that span bounds were validated
-  // against the file.
+  // order, `pos`/`osp` the matching permutations of its indices, and
+  // `block_postings` the file's block posting directory (non-null). The
+  // caller (MmapStore) owns the mapping and guarantees it outlives the
+  // store and that span bounds were validated against the file.
   static TripleStore FromView(Dictionary dict,
                               std::span<const Triple> triples,
-                              std::span<const uint32_t> spo,
                               std::span<const uint32_t> pos,
                               std::span<const uint32_t> osp,
-                              const MappedPostingLists* postings,
-                              const MappedBlockPostings* block_postings =
-                                  nullptr);
+                              const MappedBlockPostings* block_postings);
 
   // Sharded-backend construction (rdf/sharded_store.h): every query
   // method delegates per-triple and per-pattern access to `source`,
@@ -135,7 +197,8 @@ class TripleStore {
   // Records a triple over already-interned ids.
   void AddEncoded(TermId s, TermId p, TermId o, double score);
 
-  // Builds the permutation indexes; idempotent. Must be called before any
+  // Sorts the triples into SPO order and builds the POS/OSP indexes;
+  // idempotent. Must be called before any
   // query method.
   void Finalize();
 
@@ -158,14 +221,9 @@ class TripleStore {
     return view_ ? triples_view_ : std::span<const Triple>(triples_);
   }
 
-  // Non-null only on view stores opened from a v2 file with a posting
-  // directory: zero-copy per-predicate posting lists (consumed by
+  // Non-null only on view stores: the mapped file's zero-copy
+  // block-compressed per-predicate posting lists (consumed by
   // BuildPostingList / the posting-list cache).
-  const MappedPostingLists* mapped_postings() const {
-    return mapped_postings_;
-  }
-  // v3 counterpart: zero-copy block-compressed posting lists. At most one
-  // of the two directories is non-null.
   const MappedBlockPostings* mapped_block_postings() const {
     return mapped_block_postings_;
   }
@@ -174,17 +232,9 @@ class TripleStore {
   // The sharded backend behind this facade (nullptr for monolithic
   // stores); the engine uses it to poll the failure surface above.
   const ShardedTripleSource* sharded_source() const { return sharded_; }
-  // True on sharded facades whose shards serve v3 block postings:
-  // BuildPostingList re-encodes facade-built lists into blocks so the
-  // block accounting (blocks_decoded/blocks_skipped) and header-guided
-  // skipping stay live on sharded backends too.
-  bool sharded_block_postings() const {
-    return sharded_ != nullptr && sharded_->blocked_postings();
-  }
-
   // Indices (into triples()) of all triples matching the key, in index
-  // order. The returned span aliases internal storage.
-  std::span<const uint32_t> MatchIndices(const PatternKey& key) const;
+  // order. A returned slice aliases internal storage.
+  IndexRange MatchIndices(const PatternKey& key) const;
 
   size_t CountMatches(const PatternKey& key) const {
     return MatchIndices(key).size();
@@ -211,9 +261,6 @@ class TripleStore {
 
  private:
   void CheckFinalized() const;
-  std::span<const uint32_t> SpoIndex() const {
-    return view_ ? spo_view_ : std::span<const uint32_t>(spo_);
-  }
   std::span<const uint32_t> PosIndex() const {
     return view_ ? pos_view_ : std::span<const uint32_t>(pos_);
   }
@@ -226,17 +273,14 @@ class TripleStore {
   bool finalized_ = false;
 
   // Permutations of [0, triples_.size()) sorted by the respective order.
-  std::vector<uint32_t> spo_;
   std::vector<uint32_t> pos_;
   std::vector<uint32_t> osp_;
 
   // View backend (mapped stores): non-owning spans into the mapping.
   bool view_ = false;
   std::span<const Triple> triples_view_;
-  std::span<const uint32_t> spo_view_;
   std::span<const uint32_t> pos_view_;
   std::span<const uint32_t> osp_view_;
-  const MappedPostingLists* mapped_postings_ = nullptr;
   const MappedBlockPostings* mapped_block_postings_ = nullptr;
 
   // Sharded backend (bundle facades): non-owning; see FromShardedSource.

@@ -5,6 +5,9 @@
 // thread count, and both must match an engine over the original in-memory
 // store.
 
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -157,18 +160,35 @@ TEST_F(MmapEngineTest, FullyVerifiedOpenServesIdenticalAnswers) {
   ExpectIdenticalRows(a.rows, b.rows, "verified mmap vs original");
 }
 
-TEST_F(MmapEngineTest, OpenFromPathReadsV1Files) {
-  const std::string v1_path = TempPath("mmap_engine.v1.sqp");
-  ASSERT_TRUE(SaveStoreV1(*store_, v1_path).ok());
-  auto opened = Engine::OpenFromPath(v1_path, &rules_);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_FALSE(opened.value().mmap_backed());  // v1 always parses
-
-  Engine original(store_.get(), &rules_);
-  const auto a =
-      testing::Execute(*opened.value().engine, queries_[0], 10, Strategy::kSpecQp);
-  const auto b = testing::Execute(original, queries_[0], 10, Strategy::kSpecQp);
-  ExpectIdenticalRows(a.rows, b.rows, "v1 vs original");
+TEST_F(MmapEngineTest, OpenFromPathRefusesRetiredFormats) {
+  // The fixture's SQPSTOR3 file with its magic/version rewritten to a
+  // retired generation: both open paths refuse it, naming the format.
+  std::ifstream in(path_, std::ios::binary);
+  std::string blob((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  ASSERT_GT(blob.size(), 12u);
+  for (const char generation : {'1', '2'}) {
+    blob[7] = generation;
+    const uint32_t version = static_cast<uint32_t>(generation - '0');
+    std::memcpy(blob.data() + 8, &version, 4);
+    const std::string retired_path = TempPath("mmap_engine.retired.sqp");
+    {
+      std::ofstream out(retired_path, std::ios::binary | std::ios::trunc);
+      out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+      ASSERT_TRUE(out.good());
+    }
+    for (const bool mmap : {true, false}) {
+      EngineOptions options;
+      options.mmap = mmap;
+      auto opened = Engine::OpenFromPath(retired_path, &rules_, options);
+      ASSERT_FALSE(opened.ok()) << generation << " mmap=" << mmap;
+      EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
+      EXPECT_NE(opened.status().message().find(
+                    std::string("SQPSTOR") + generation),
+                std::string::npos)
+          << opened.status().ToString();
+    }
+  }
 }
 
 }  // namespace

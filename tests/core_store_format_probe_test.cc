@@ -1,11 +1,11 @@
-// The v3 acceptance probe: every bundled workload query (66 XKG + 50
-// Twitter = 116, the bench-bundle counts over test-sized datasets) must
-// return bit-identical rows — bindings AND scores — from a v2-flat store
-// and a v3-block store, across all three strategies and thread counts
-// {1, 2, 8}, and both must match an engine over the original in-memory
-// store. Block skipping is an access-path optimisation only; this is the
-// determinism contract of docs/ARCHITECTURE.md ("Block iterator &
-// skipping").
+// The store-format acceptance probe: every bundled workload query (66 XKG
+// + 50 Twitter = 116, the bench-bundle counts over test-sized datasets)
+// must return bit-identical rows — bindings AND scores — from a saved
+// store opened mapped (zero-copy, block postings) and loaded (LoadStore,
+// flat postings), across all three strategies and thread counts {1, 2, 8},
+// and both must match an engine over the original in-memory store. Block
+// skipping is an access-path optimisation only; this is the determinism
+// contract of docs/ARCHITECTURE.md ("Block iterator & skipping").
 //
 // The same 116 queries also pin the engine's answers and operator work to
 // checked-in digests, so a change that alters answers identically on every
@@ -85,7 +85,7 @@ const ProbeSet& GetProbeSet() {
   return *set;
 }
 
-TEST(StoreFormatProbeTest, WorkloadBitIdenticalAcrossFormatsAndThreads) {
+TEST(StoreFormatProbeTest, WorkloadBitIdenticalAcrossBackendsAndThreads) {
   const ProbeSet& set = GetProbeSet();
   const XkgDataset& xkg = set.xkg;
   const TwitterDataset& twitter = set.twitter;
@@ -108,18 +108,11 @@ TEST(StoreFormatProbeTest, WorkloadBitIdenticalAcrossFormatsAndThreads) {
                                  Strategy::kNoRelax};
   const size_t k = 10;
 
-  uint64_t xkg_v3_blocks_skipped = 0;
+  uint64_t xkg_blocks_skipped = 0;
   for (const auto& bundle : bundles) {
-    const std::string v2_path =
-        TempPath((std::string("probe_") + bundle.name + ".v2.sqp").c_str());
-    SaveStoreOptions v2_save;
-    v2_save.format_version = 2;
-    ASSERT_TRUE(SaveStore(*bundle.store, v2_path, v2_save).ok());
-    const std::string v3_path =
-        TempPath((std::string("probe_") + bundle.name + ".v3.sqp").c_str());
-    ASSERT_TRUE(SaveStore(*bundle.store, v3_path).ok());
-    ASSERT_EQ(PeekStoreVersion(v2_path).value(), 2u);
-    ASSERT_EQ(PeekStoreVersion(v3_path).value(), 3u);
+    const std::string path =
+        TempPath((std::string("probe_") + bundle.name + ".sqp").c_str());
+    ASSERT_TRUE(SaveStore(*bundle.store, path).ok());
 
     Engine reference(bundle.store, bundle.rules);
     std::vector<std::vector<Engine::QueryResult>> expected(
@@ -134,36 +127,37 @@ TEST(StoreFormatProbeTest, WorkloadBitIdenticalAcrossFormatsAndThreads) {
 
     for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
       EngineOptions options;
-      options.mmap = true;
       options.num_threads = threads;
       if (threads > 1) options.parallel_min_rows = 1;  // force partitioning
-      auto v2_engine = Engine::OpenFromPath(v2_path, bundle.rules, options);
-      ASSERT_TRUE(v2_engine.ok()) << v2_engine.status().ToString();
-      ASSERT_TRUE(v2_engine.value().mmap_backed());
-      auto v3_engine = Engine::OpenFromPath(v3_path, bundle.rules, options);
-      ASSERT_TRUE(v3_engine.ok()) << v3_engine.status().ToString();
-      ASSERT_TRUE(v3_engine.value().mmap_backed());
+      options.mmap = true;
+      auto mapped = Engine::OpenFromPath(path, bundle.rules, options);
+      ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+      ASSERT_TRUE(mapped.value().mmap_backed());
+      options.mmap = false;
+      auto loaded = Engine::OpenFromPath(path, bundle.rules, options);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      ASSERT_FALSE(loaded.value().mmap_backed());
 
       for (size_t si = 0; si < std::size(strategies); ++si) {
         for (size_t qi = 0; qi < bundle.workload->size(); ++qi) {
           const Query& query = (*bundle.workload)[qi];
-          const auto from_v2 = testing::Execute(*v2_engine.value().engine,
-                                                query, k, strategies[si]);
-          const auto from_v3 = testing::Execute(*v3_engine.value().engine,
-                                                query, k, strategies[si]);
+          const auto from_mapped = testing::Execute(*mapped.value().engine,
+                                                    query, k, strategies[si]);
+          const auto from_loaded = testing::Execute(*loaded.value().engine,
+                                                    query, k, strategies[si]);
           const std::string label =
               std::string(bundle.name) + " q" + std::to_string(qi) +
               " strategy " + std::to_string(si) + " threads " +
               std::to_string(threads);
-          ExpectIdenticalRows(from_v2.rows, from_v3.rows,
-                              (label + " v2 vs v3").c_str());
-          ExpectIdenticalRows(from_v3.rows, expected[si][qi].rows,
-                              (label + " v3 vs original").c_str());
-          // Flat stores never touch the block counters.
-          EXPECT_EQ(from_v2.stats.blocks_decoded, 0u);
-          EXPECT_EQ(from_v2.stats.blocks_skipped, 0u);
+          ExpectIdenticalRows(from_mapped.rows, expected[si][qi].rows,
+                              (label + " mapped vs original").c_str());
+          ExpectIdenticalRows(from_loaded.rows, expected[si][qi].rows,
+                              (label + " loaded vs original").c_str());
+          // The loaded store's lists are flat: no block counters.
+          EXPECT_EQ(from_loaded.stats.blocks_decoded, 0u);
+          EXPECT_EQ(from_loaded.stats.blocks_skipped, 0u);
           if (bundle.store == &xkg.store) {
-            xkg_v3_blocks_skipped += from_v3.stats.blocks_skipped;
+            xkg_blocks_skipped += from_mapped.stats.blocks_skipped;
           }
         }
       }
@@ -172,7 +166,7 @@ TEST(StoreFormatProbeTest, WorkloadBitIdenticalAcrossFormatsAndThreads) {
 
   // The rank-join-heavy XKG workload must actually exercise the skipping
   // machinery: top-k early termination leaves undecoded blocks behind.
-  EXPECT_GT(xkg_v3_blocks_skipped, 0u);
+  EXPECT_GT(xkg_blocks_skipped, 0u);
 }
 
 // Answer pin. Changing either constant needs a CHANGES.md entry naming the

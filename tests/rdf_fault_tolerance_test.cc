@@ -177,8 +177,7 @@ TEST(FaultToleranceTest, InjectedReadFaultQuarantinesMidFlight) {
   // restarts over the survivors — the same Match call returns the degraded
   // answer, no error escapes.
   ScopedFaultPlan plan("shard.read.2=1@1");
-  const std::span<const uint32_t> full =
-      sharded.store().MatchIndices(PatternKey{});
+  const IndexRange full = sharded.store().MatchIndices(PatternKey{});
   EXPECT_EQ(sharded.ShardsFailed(), 1u);
   EXPECT_FALSE(sharded.shard_alive(2));
   EXPECT_EQ(sharded.FaultEpoch(), 1u);

@@ -59,6 +59,46 @@ void ExpectSameStore(const TripleStore& a, const TripleStore& b) {
   }
 }
 
+// Byte offset of the section-table row for `id`, or npos.
+size_t FindTableEntry(const std::string& blob, v2::SectionId id) {
+  uint32_t count = 0;
+  std::memcpy(&count, blob.data() + 12, 4);  // FileHeader::section_count
+  for (uint32_t i = 0; i < count; ++i) {
+    const size_t entry = sizeof(v2::FileHeader) + i * sizeof(v2::SectionEntry);
+    uint32_t sid = 0;
+    std::memcpy(&sid, blob.data() + entry, 4);
+    if (sid == static_cast<uint32_t>(id)) return entry;
+  }
+  return std::string::npos;
+}
+
+// Recomputes the stored CRC of `id`'s payload after a test patched it,
+// so the corruption under test is the *values*, not the checksum.
+void RepairSectionCrc(std::string* blob, v2::SectionId id) {
+  const size_t entry = FindTableEntry(*blob, id);
+  ASSERT_NE(entry, std::string::npos);
+  uint64_t offset = 0;
+  uint64_t length = 0;
+  std::memcpy(&offset, blob->data() + entry + 8, 8);
+  std::memcpy(&length, blob->data() + entry + 16, 8);
+  const uint32_t crc = Crc32c(blob->data() + offset, length);
+  std::memcpy(blob->data() + entry + 24, &crc, 4);
+}
+
+struct SectionExtent {
+  uint64_t offset = 0;
+  uint64_t length = 0;
+};
+
+SectionExtent FindSectionExtent(const std::string& blob, v2::SectionId id) {
+  const size_t entry = FindTableEntry(blob, id);
+  EXPECT_NE(entry, std::string::npos);
+  SectionExtent extent;
+  std::memcpy(&extent.offset, blob.data() + entry + 8, 8);
+  std::memcpy(&extent.length, blob.data() + entry + 16, 8);
+  return extent;
+}
+
 TEST(StoreIoTest, RoundTripSmallStore) {
   TripleStore store;
   store.Add("shakira", "rdf:type", "singer", 100.0);
@@ -224,85 +264,58 @@ TEST(StoreIoTest, LoadedStoreAnswersQueries) {
   }
 }
 
-// --- v1 compatibility + migration ------------------------------------------
+// --- retired formats -------------------------------------------------------
 
-TEST(StoreIoTest, V1RoundTripStillWorks) {
-  const TripleStore store = SmallStore();
-  const std::string path = TempPath("v1.sqp");
-  ASSERT_TRUE(SaveStoreV1(store, path).ok());
-  auto version = PeekStoreVersion(path);
-  ASSERT_TRUE(version.ok());
-  EXPECT_EQ(version.value(), 1u);
-
-  auto loaded = LoadStore(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectSameStore(store, loaded.value());
+// A well-formed SQPSTOR3 file with its magic and version rewritten to a
+// retired generation: the bytes after the first 12 are a valid v3 file, so
+// only the magic/version check can be what refuses it.
+std::string RetiredCopy(const std::string& source, char generation,
+                        const char* name) {
+  std::string blob = ReadFile(source);
+  blob[7] = generation;
+  const uint32_t version = static_cast<uint32_t>(generation - '0');
+  std::memcpy(blob.data() + 8, &version, 4);  // FileHeader::version
+  const std::string path = TempPath(name);
+  WriteFile(path, blob);
+  return path;
 }
 
-TEST(StoreIoTest, V1ToV2MigrationRoundTrip) {
-  Rng rng(7);
-  specqp::testing::RandomStoreConfig cfg;
-  cfg.num_triples = 400;
-  const TripleStore store = specqp::testing::MakeRandomStore(&rng, cfg);
+TEST(StoreIoTest, RetiredFormatsAreRefusedNotMisread) {
+  const std::string path = TempPath("retired_src.sqp");
+  ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
+  for (const char generation : {'1', '2'}) {
+    const std::string retired =
+        RetiredCopy(path, generation, "retired_copy.sqp");
+    const std::string named = std::string("SQPSTOR") + generation;
 
-  const std::string v1_path = TempPath("migrate.v1.sqp");
-  ASSERT_TRUE(SaveStoreV1(store, v1_path).ok());
-  auto from_v1 = LoadStore(v1_path);
-  ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
+    auto mapped = MmapStore::Open(retired);
+    ASSERT_FALSE(mapped.ok()) << named;
+    EXPECT_EQ(mapped.status().code(), StatusCode::kCorruption) << named;
+    EXPECT_NE(mapped.status().message().find(named), std::string::npos)
+        << mapped.status().ToString();
 
-  const std::string v2_path = TempPath("migrate.v2.sqp");
-  SaveStoreOptions v2_options;
-  v2_options.format_version = 2;
-  ASSERT_TRUE(SaveStore(from_v1.value(), v2_path, v2_options).ok());
-  auto v2_version = PeekStoreVersion(v2_path);
-  ASSERT_TRUE(v2_version.ok());
-  EXPECT_EQ(v2_version.value(), 2u);
-
-  // Both the parsed and the mapped reader see the original store.
-  auto from_v2 = LoadStore(v2_path);
-  ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
-  ExpectSameStore(store, from_v2.value());
-
-  auto mapped = MmapStore::Open(v2_path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ExpectSameStore(store, mapped.value()->store());
+    auto loaded = LoadStore(retired);
+    ASSERT_FALSE(loaded.ok()) << named;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << named;
+    EXPECT_NE(loaded.status().message().find(named), std::string::npos)
+        << loaded.status().ToString();
+  }
 }
 
-TEST(StoreIoTest, V2ToV3MigrationRoundTrip) {
-  Rng rng(11);
-  specqp::testing::RandomStoreConfig cfg;
-  cfg.num_triples = 400;
-  const TripleStore store = specqp::testing::MakeRandomStore(&rng, cfg);
-
-  const std::string v2_path = TempPath("migrate23.v2.sqp");
-  SaveStoreOptions v2_options;
-  v2_options.format_version = 2;
-  ASSERT_TRUE(SaveStore(store, v2_path, v2_options).ok());
-  auto from_v2 = LoadStore(v2_path);
-  ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
-
-  const std::string v3_path = TempPath("migrate23.v3.sqp");
-  ASSERT_TRUE(SaveStore(from_v2.value(), v3_path).ok());  // v3 default
-  auto v3_version = PeekStoreVersion(v3_path);
-  ASSERT_TRUE(v3_version.ok());
-  EXPECT_EQ(v3_version.value(), 3u);
-
-  // Both the parsed and the mapped reader see the original store.
-  auto from_v3 = LoadStore(v3_path);
-  ASSERT_TRUE(from_v3.ok()) << from_v3.status().ToString();
-  ExpectSameStore(store, from_v3.value());
-
-  auto mapped = MmapStore::Open(v3_path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ExpectSameStore(store, mapped.value()->store());
-}
-
-TEST(StoreIoTest, MmapStoreRejectsV1Files) {
-  const std::string path = TempPath("v1_for_mmap.sqp");
-  ASSERT_TRUE(SaveStoreV1(SmallStore(), path).ok());
+TEST(StoreIoTest, ShortRetiredFileIsStillNamed) {
+  // A small SQPSTOR1 store is shorter than the 40-byte SQPSTOR3 header;
+  // the refusal must still name the format rather than a truncation.
+  std::string blob = "SQPSTOR1";
+  const uint32_t version = 1;
+  blob.append(reinterpret_cast<const char*>(&version), 4);
+  blob.append(8, '\0');
+  const std::string path = TempPath("retired_short.sqp");
+  WriteFile(path, blob);
   auto mapped = MmapStore::Open(path);
-  EXPECT_FALSE(mapped.ok());
+  ASSERT_FALSE(mapped.ok());
   EXPECT_EQ(mapped.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(mapped.status().message().find("SQPSTOR1"), std::string::npos)
+      << mapped.status().ToString();
 }
 
 // --- mapped (zero-copy) reads ----------------------------------------------
@@ -348,52 +361,17 @@ TEST(StoreIoTest, MmapStoreServesQueries) {
   }
 }
 
-TEST(StoreIoTest, MmapStoreServesPostingListsZeroCopy) {
-  Rng rng(22);
-  specqp::testing::RandomStoreConfig cfg;
-  cfg.num_triples = 300;
-  const TripleStore store = specqp::testing::MakeRandomStore(&rng, cfg);
-  const std::string path = TempPath("mmap_postings.sqp");
-  SaveStoreOptions flat_options;
-  flat_options.format_version = 2;  // flat entries are the zero-copy layout
-  ASSERT_TRUE(SaveStore(store, path, flat_options).ok());
-
-  auto mapped = MmapStore::Open(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  const TripleStore& view = mapped.value()->store();
-  ASSERT_NE(view.mapped_postings(), nullptr);
-
-  const TermId p = store.MustId("p0");
-  const PatternKey key{kInvalidTermId, p, kInvalidTermId};
-  const PostingList built = BuildPostingList(store, key);
-  const PostingList viewed = BuildPostingList(view, key);
-  EXPECT_TRUE(viewed.owned.empty()) << "expected a zero-copy view";
-  ASSERT_EQ(viewed.size(), built.size());
-  EXPECT_DOUBLE_EQ(viewed.max_raw_score, built.max_raw_score);
-  for (size_t i = 0; i < built.size(); ++i) {
-    EXPECT_EQ(viewed.entries[i].triple_index, built.entries[i].triple_index);
-    EXPECT_DOUBLE_EQ(viewed.entries[i].score, built.entries[i].score);
-  }
-
-  // Non-directory patterns fall back to the scan-and-sort builder.
-  const PatternKey bound{kInvalidTermId, p, store.MustId("o0")};
-  const PostingList fallback = BuildPostingList(view, bound);
-  EXPECT_EQ(fallback.owned.size(), fallback.entries.size());
-  EXPECT_EQ(fallback.size(), BuildPostingList(store, bound).size());
-}
-
 TEST(StoreIoTest, MmapStoreServesBlockPostingsZeroCopy) {
   Rng rng(26);
   specqp::testing::RandomStoreConfig cfg;
   cfg.num_triples = 600;
   const TripleStore store = specqp::testing::MakeRandomStore(&rng, cfg);
   const std::string path = TempPath("mmap_blocks.sqp");
-  ASSERT_TRUE(SaveStore(store, path).ok());  // v3 is the default
+  ASSERT_TRUE(SaveStore(store, path).ok());
 
   auto mapped = MmapStore::Open(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   const TripleStore& view = mapped.value()->store();
-  EXPECT_EQ(view.mapped_postings(), nullptr);
   ASSERT_NE(view.mapped_block_postings(), nullptr);
 
   // A pure-predicate pattern opens as a block view over the mapped
@@ -481,10 +459,10 @@ TEST(StoreIoTest, StatsSnapshotRoundTrip) {
   EXPECT_EQ(fresh_postings.misses(), 0u);
 }
 
-// --- v2 corruption paths ----------------------------------------------------
+// --- hostile files: envelope ------------------------------------------------
 
-TEST(StoreIoTest, V2RejectsTruncatedSectionTable) {
-  const std::string path = TempPath("v2_table.sqp");
+TEST(StoreIoTest, RejectsTruncatedSectionTable) {
+  const std::string path = TempPath("hostile_table.sqp");
   ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
   std::string blob = ReadFile(path);
 
@@ -494,7 +472,7 @@ TEST(StoreIoTest, V2RejectsTruncatedSectionTable) {
   std::string truncated = blob.substr(0, cut);
   const uint64_t new_size = truncated.size();
   std::memcpy(truncated.data() + 16, &new_size, 8);  // FileHeader::file_size
-  const std::string cut_path = TempPath("v2_table_cut.sqp");
+  const std::string cut_path = TempPath("hostile_table_cut.sqp");
   WriteFile(cut_path, truncated);
 
   auto mapped = MmapStore::Open(cut_path);
@@ -505,12 +483,12 @@ TEST(StoreIoTest, V2RejectsTruncatedSectionTable) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
 
-TEST(StoreIoTest, V2RejectsFileSizeMismatch) {
-  const std::string path = TempPath("v2_size.sqp");
+TEST(StoreIoTest, RejectsFileSizeMismatch) {
+  const std::string path = TempPath("hostile_size.sqp");
   ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
   const std::string blob = ReadFile(path);
   for (size_t cut : {blob.size() / 3, blob.size() / 2, blob.size() - 1}) {
-    const std::string cut_path = TempPath("v2_size_cut.sqp");
+    const std::string cut_path = TempPath("hostile_size_cut.sqp");
     WriteFile(cut_path, blob.substr(0, cut));
     auto mapped = MmapStore::Open(cut_path);
     EXPECT_FALSE(mapped.ok()) << "cut at " << cut;
@@ -518,19 +496,19 @@ TEST(StoreIoTest, V2RejectsFileSizeMismatch) {
   }
 }
 
-TEST(StoreIoTest, V2RejectsBadSectionCrcLazilyAndEagerly) {
+TEST(StoreIoTest, RejectsBadSectionCrcLazilyAndEagerly) {
   Rng rng(24);
   specqp::testing::RandomStoreConfig cfg;
   cfg.num_triples = 200;
   const TripleStore store = specqp::testing::MakeRandomStore(&rng, cfg);
-  const std::string path = TempPath("v2_crc.sqp");
+  const std::string path = TempPath("hostile_crc.sqp");
   ASSERT_TRUE(SaveStore(store, path).ok());
   std::string blob = ReadFile(path);
 
   // Flip one bit in the middle of the triple section's payload.
   const size_t target = blob.size() / 2;
   blob[target] = static_cast<char>(blob[target] ^ 0x10);
-  const std::string bad_path = TempPath("v2_crc_bad.sqp");
+  const std::string bad_path = TempPath("hostile_crc_bad.sqp");
   WriteFile(bad_path, blob);
 
   // Lazy open succeeds structurally; the memoised checksum pass fails.
@@ -550,8 +528,8 @@ TEST(StoreIoTest, V2RejectsBadSectionCrcLazilyAndEagerly) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
 
-TEST(StoreIoTest, V2RejectsMisalignedSectionOffset) {
-  const std::string path = TempPath("v2_align.sqp");
+TEST(StoreIoTest, RejectsMisalignedSectionOffset) {
+  const std::string path = TempPath("hostile_align.sqp");
   ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
   std::string blob = ReadFile(path);
 
@@ -561,7 +539,7 @@ TEST(StoreIoTest, V2RejectsMisalignedSectionOffset) {
   std::memcpy(&offset, blob.data() + sizeof(v2::FileHeader) + 8, 8);
   offset += 4;
   std::memcpy(blob.data() + sizeof(v2::FileHeader) + 8, &offset, 8);
-  const std::string bad_path = TempPath("v2_align_bad.sqp");
+  const std::string bad_path = TempPath("hostile_align_bad.sqp");
   WriteFile(bad_path, blob);
 
   auto mapped = MmapStore::Open(bad_path);
@@ -569,34 +547,8 @@ TEST(StoreIoTest, V2RejectsMisalignedSectionOffset) {
   EXPECT_EQ(mapped.status().code(), StatusCode::kCorruption);
 }
 
-// Byte offset of the section-table row for `id`, or npos.
-size_t FindTableEntry(const std::string& blob, v2::SectionId id) {
-  uint32_t count = 0;
-  std::memcpy(&count, blob.data() + 12, 4);  // FileHeader::section_count
-  for (uint32_t i = 0; i < count; ++i) {
-    const size_t entry = sizeof(v2::FileHeader) + i * sizeof(v2::SectionEntry);
-    uint32_t sid = 0;
-    std::memcpy(&sid, blob.data() + entry, 4);
-    if (sid == static_cast<uint32_t>(id)) return entry;
-  }
-  return std::string::npos;
-}
-
-// Recomputes the stored CRC of `id`'s payload after a test patched it,
-// so the corruption under test is the *values*, not the checksum.
-void RepairSectionCrc(std::string* blob, v2::SectionId id) {
-  const size_t entry = FindTableEntry(*blob, id);
-  ASSERT_NE(entry, std::string::npos);
-  uint64_t offset = 0;
-  uint64_t length = 0;
-  std::memcpy(&offset, blob->data() + entry + 8, 8);
-  std::memcpy(&length, blob->data() + entry + 16, 8);
-  const uint32_t crc = Crc32c(blob->data() + offset, length);
-  std::memcpy(blob->data() + entry + 24, &crc, 4);
-}
-
-TEST(StoreIoTest, V2RejectsOverflowingDirectoryCount) {
-  const std::string path = TempPath("v2_count.sqp");
+TEST(StoreIoTest, RejectsOverflowingDirectoryCount) {
+  const std::string path = TempPath("hostile_count.sqp");
   ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
   std::string blob = ReadFile(path);
 
@@ -608,7 +560,7 @@ TEST(StoreIoTest, V2RejectsOverflowingDirectoryCount) {
   std::memcpy(&offset, blob.data() + entry + 8, 8);
   const uint64_t huge = uint64_t{1} << 59;
   std::memcpy(blob.data() + offset, &huge, 8);
-  const std::string bad_path = TempPath("v2_count_bad.sqp");
+  const std::string bad_path = TempPath("hostile_count_bad.sqp");
   WriteFile(bad_path, blob);
 
   auto mapped = MmapStore::Open(bad_path);
@@ -616,8 +568,8 @@ TEST(StoreIoTest, V2RejectsOverflowingDirectoryCount) {
   EXPECT_EQ(mapped.status().code(), StatusCode::kCorruption);
 }
 
-TEST(StoreIoTest, V2RejectsNonMonotonicDictOffsets) {
-  const std::string path = TempPath("v2_mono.sqp");
+TEST(StoreIoTest, RejectsNonMonotonicDictOffsets) {
+  const std::string path = TempPath("hostile_mono.sqp");
   ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
   std::string blob = ReadFile(path);
 
@@ -632,7 +584,7 @@ TEST(StoreIoTest, V2RejectsNonMonotonicDictOffsets) {
   const uint64_t bad = off2 + 7;
   std::memcpy(blob.data() + offset + 8, &bad, 8);  // offsets[1]
   RepairSectionCrc(&blob, v2::SectionId::kDictOffsets);
-  const std::string bad_path = TempPath("v2_mono_bad.sqp");
+  const std::string bad_path = TempPath("hostile_mono_bad.sqp");
   WriteFile(bad_path, blob);
 
   // The engine path (eager metadata verification) must reject with a
@@ -645,44 +597,53 @@ TEST(StoreIoTest, V2RejectsNonMonotonicDictOffsets) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
 
-TEST(StoreIoTest, V2RejectsOutOfRangePermutationIndex) {
-  const std::string path = TempPath("v2_perm.sqp");
-  SaveStoreOptions v2_options;  // this test byte-pokes the v2 SPO index,
-  v2_options.format_version = 2;  // which v3 files no longer carry
-  ASSERT_TRUE(SaveStore(SmallStore(), path, v2_options).ok());
-  std::string blob = ReadFile(path);
-
-  const size_t entry = FindTableEntry(blob, v2::SectionId::kSpoIndex);
-  ASSERT_NE(entry, std::string::npos);
-  uint64_t offset = 0;
-  std::memcpy(&offset, blob.data() + entry + 8, 8);
-  const uint32_t oob = 0xFFFFFFFFu;
-  std::memcpy(blob.data() + offset, &oob, 4);  // spo[0]
-  RepairSectionCrc(&blob, v2::SectionId::kSpoIndex);
-  const std::string bad_path = TempPath("v2_perm_bad.sqp");
-  WriteFile(bad_path, blob);
-
-  MmapStore::Options eager;
-  eager.verify = MmapStore::Verify::kEager;
-  auto strict = MmapStore::Open(bad_path, eager);
-  EXPECT_FALSE(strict.ok());
-  EXPECT_EQ(strict.status().code(), StatusCode::kCorruption);
-  auto loaded = LoadStore(bad_path);
-  EXPECT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
-}
-
-TEST(StoreIoTest, V2RejectsUnsortedOrderingInvariants) {
-  const std::string path = TempPath("v2_order.sqp");
-  SaveStoreOptions v2_options;
-  v2_options.format_version = 2;  // this test byte-pokes the flat layout
-  ASSERT_TRUE(SaveStore(SmallStore(), path, v2_options).ok());
+TEST(StoreIoTest, RejectsOutOfRangePosOspIndex) {
+  const std::string path = TempPath("perm.sqp");
+  ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
   const std::string blob = ReadFile(path);
 
+  for (const v2::SectionId id :
+       {v2::SectionId::kPosIndex, v2::SectionId::kOspIndex}) {
+    std::string bad = blob;
+    const size_t entry = FindTableEntry(bad, id);
+    ASSERT_NE(entry, std::string::npos);
+    uint64_t offset = 0;
+    std::memcpy(&offset, bad.data() + entry + 8, 8);
+    const uint32_t oob = 0xFFFFFFFFu;
+    std::memcpy(bad.data() + offset, &oob, 4);  // perm[0]
+    RepairSectionCrc(&bad, id);
+    const std::string bad_path = TempPath("perm_bad.sqp");
+    WriteFile(bad_path, bad);
+
+    MmapStore::Options eager;
+    eager.verify = MmapStore::Verify::kEager;
+    auto strict = MmapStore::Open(bad_path, eager);
+    EXPECT_FALSE(strict.ok());
+    EXPECT_EQ(strict.status().code(), StatusCode::kCorruption);
+    auto loaded = LoadStore(bad_path);
+    EXPECT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  }
+}
+
+// One predicate whose 128 triples all score the same: its posting list is
+// exactly two full blocks, ordered by triple index alone.
+TripleStore EqualScoreStore() {
+  TripleStore store;
+  for (int i = 0; i < 2 * static_cast<int>(kPostingBlockEntries); ++i) {
+    store.Add("s" + std::to_string(1000 + i), "same", "o", 5.0);
+  }
+  store.Finalize();
+  return store;
+}
+
+TEST(StoreIoTest, RejectsUnsortedOrderingInvariants) {
   {
     // Swap the first two ids of the lexicographic dictionary permutation
     // and re-checksum: binary-searched Find would silently miss terms.
-    std::string bad = blob;
+    const std::string path = TempPath("order_dict_src.sqp");
+    ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
+    std::string bad = ReadFile(path);
     const size_t entry = FindTableEntry(bad, v2::SectionId::kDictSorted);
     ASSERT_NE(entry, std::string::npos);
     uint64_t offset = 0;
@@ -694,7 +655,7 @@ TEST(StoreIoTest, V2RejectsUnsortedOrderingInvariants) {
     std::memcpy(bad.data() + offset, &b, 4);
     std::memcpy(bad.data() + offset + 4, &a, 4);
     RepairSectionCrc(&bad, v2::SectionId::kDictSorted);
-    const std::string bad_path = TempPath("v2_order_dict.sqp");
+    const std::string bad_path = TempPath("order_dict.sqp");
     WriteFile(bad_path, bad);
 
     auto lazy = MmapStore::Open(bad_path);
@@ -703,31 +664,69 @@ TEST(StoreIoTest, V2RejectsUnsortedOrderingInvariants) {
     EXPECT_FALSE(LoadStore(bad_path).ok());
   }
   {
-    // Swap the top two posting entries of the first directory slice:
-    // scores would no longer stream descending.
-    std::string bad = blob;
-    const size_t entry = FindTableEntry(bad, v2::SectionId::kPostingEntries);
-    ASSERT_NE(entry, std::string::npos);
-    uint64_t offset = 0;
-    std::memcpy(&offset, bad.data() + entry + 8, 8);
-    char tmp[16];
-    std::memcpy(tmp, bad.data() + offset, 16);
-    std::memcpy(bad.data() + offset, bad.data() + offset + 16, 16);
-    std::memcpy(bad.data() + offset + 16, tmp, 16);
-    RepairSectionCrc(&bad, v2::SectionId::kPostingEntries);
-    const std::string bad_path = TempPath("v2_order_postings.sqp");
+    // Swap the two full blocks of an equal-score list, payload bytes and
+    // headers both, keeping the byte ranges gapless. Every block still
+    // decodes and agrees with its header, and the ceilings stay equal, so
+    // Open's geometry pass accepts the file — but across the boundary the
+    // list now steps from the highest triple index back to the lowest.
+    const std::string path = TempPath("order_blocks_src.sqp");
+    ASSERT_TRUE(SaveStore(EqualScoreStore(), path).ok());
+    std::string bad = ReadFile(path);
+    const SectionExtent index =
+        FindSectionExtent(bad, v2::SectionId::kPostingBlockIndex);
+    const SectionExtent payload =
+        FindSectionExtent(bad, v2::SectionId::kPostingBlocks);
+    ASSERT_EQ(index.length, 2 * sizeof(PostingBlockHeader));
+    PostingBlockHeader h[2];
+    std::memcpy(h, bad.data() + index.offset, sizeof(h));
+    ASSERT_EQ(h[0].entry_count, kPostingBlockEntries);
+    ASSERT_EQ(h[1].entry_count, kPostingBlockEntries);
+    ASSERT_EQ(h[0].max_score, h[1].max_score);
+    const std::string block0(bad.data() + payload.offset + h[0].byte_offset,
+                             h[0].byte_length);
+    const std::string block1(bad.data() + payload.offset + h[1].byte_offset,
+                             h[1].byte_length);
+    const std::string swapped_payload = block1 + block0;
+    std::memcpy(bad.data() + payload.offset + h[0].byte_offset,
+                swapped_payload.data(), swapped_payload.size());
+    PostingBlockHeader swapped[2] = {h[1], h[0]};
+    swapped[0].byte_offset = h[0].byte_offset;
+    swapped[1].byte_offset = h[0].byte_offset + h[1].byte_length;
+    std::memcpy(bad.data() + index.offset, swapped, sizeof(swapped));
+    RepairSectionCrc(&bad, v2::SectionId::kPostingBlockIndex);
+    RepairSectionCrc(&bad, v2::SectionId::kPostingBlocks);
+    const std::string bad_path = TempPath("order_blocks.sqp");
     WriteFile(bad_path, bad);
 
+    // Lazy open passes, and each block on its own decodes cleanly...
+    auto lazy = MmapStore::Open(bad_path);
+    ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
+    const MappedBlockPostings* blocks =
+        lazy.value()->store().mapped_block_postings();
+    ASSERT_NE(blocks, nullptr);
+    DecodedPostingBlock decoded;
+    for (const PostingBlockHeader& header : blocks->headers) {
+      EXPECT_TRUE(DecodePostingBlock(header, blocks->payload,
+                                     static_cast<uint32_t>(
+                                         lazy.value()->store().size()),
+                                     &decoded)
+                      .ok());
+    }
+    // ...so only the cross-boundary order check can reject it.
+    EXPECT_FALSE(lazy.value()->VerifyAllSections().ok());
     MmapStore::Options eager;
     eager.verify = MmapStore::Verify::kEager;
     auto strict = MmapStore::Open(bad_path, eager);
     EXPECT_FALSE(strict.ok());
     EXPECT_EQ(strict.status().code(), StatusCode::kCorruption);
+    auto loaded = LoadStore(bad_path);
+    EXPECT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
   }
 }
 
-TEST(StoreIoTest, V2RejectsReservedBitsAndUnknownSections) {
-  const std::string path = TempPath("v2_reserved.sqp");
+TEST(StoreIoTest, RejectsReservedBitsAndUnknownSections) {
+  const std::string path = TempPath("hostile_reserved.sqp");
   ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
   const std::string blob = ReadFile(path);
 
@@ -736,7 +735,7 @@ TEST(StoreIoTest, V2RejectsReservedBitsAndUnknownSections) {
     std::string bad = blob;
     const uint32_t flags = 1;
     std::memcpy(bad.data() + sizeof(v2::FileHeader) + 4, &flags, 4);
-    const std::string bad_path = TempPath("v2_reserved_flags.sqp");
+    const std::string bad_path = TempPath("hostile_reserved_flags.sqp");
     WriteFile(bad_path, bad);
     EXPECT_FALSE(MmapStore::Open(bad_path).ok());
   }
@@ -745,43 +744,28 @@ TEST(StoreIoTest, V2RejectsReservedBitsAndUnknownSections) {
     std::string bad = blob;
     const uint32_t id = 999;
     std::memcpy(bad.data() + sizeof(v2::FileHeader), &id, 4);
-    const std::string bad_path = TempPath("v2_reserved_id.sqp");
+    const std::string bad_path = TempPath("hostile_reserved_id.sqp");
     WriteFile(bad_path, bad);
     EXPECT_FALSE(MmapStore::Open(bad_path).ok());
   }
 }
 
-// --- v3 corruption paths ----------------------------------------------------
+// --- hostile files: block postings -----------------------------------------
 
-// A v3 store (the default format) whose posting lists span multiple
-// blocks, so directory rows address real block runs worth corrupting.
-std::string SaveMultiBlockV3(const char* name) {
+// A store whose posting lists span multiple blocks, so directory rows
+// address real block runs worth corrupting.
+std::string SaveMultiBlock(const char* name) {
   Rng rng(27);
   specqp::testing::RandomStoreConfig cfg;
   cfg.num_triples = 600;
   const TripleStore store = specqp::testing::MakeRandomStore(&rng, cfg);
   const std::string path = TempPath(name);
   EXPECT_TRUE(SaveStore(store, path).ok());
-  EXPECT_EQ(PeekStoreVersion(path).value(), 3u);
   return path;
 }
 
-struct SectionExtent {
-  uint64_t offset = 0;
-  uint64_t length = 0;
-};
-
-SectionExtent FindSectionExtent(const std::string& blob, v2::SectionId id) {
-  const size_t entry = FindTableEntry(blob, id);
-  EXPECT_NE(entry, std::string::npos);
-  SectionExtent extent;
-  std::memcpy(&extent.offset, blob.data() + entry + 8, 8);
-  std::memcpy(&extent.length, blob.data() + entry + 16, 8);
-  return extent;
-}
-
-TEST(StoreIoTest, V3RejectsTruncatedBlockPayload) {
-  const std::string path = SaveMultiBlockV3("v3_trunc.sqp");
+TEST(StoreIoTest, RejectsTruncatedBlockPayload) {
+  const std::string path = SaveMultiBlock("hostile_blocks_trunc.sqp");
   std::string blob = ReadFile(path);
 
   // Shrink the last block's byte_length so the concatenated block ranges
@@ -800,7 +784,7 @@ TEST(StoreIoTest, V3RejectsTruncatedBlockPayload) {
   byte_length -= 9;
   std::memcpy(blob.data() + last + 8, &byte_length, 4);
   RepairSectionCrc(&blob, v2::SectionId::kPostingBlockIndex);
-  const std::string bad_path = TempPath("v3_trunc_bad.sqp");
+  const std::string bad_path = TempPath("hostile_blocks_trunc_bad.sqp");
   WriteFile(bad_path, blob);
 
   auto mapped = MmapStore::Open(bad_path);
@@ -811,8 +795,8 @@ TEST(StoreIoTest, V3RejectsTruncatedBlockPayload) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
 
-TEST(StoreIoTest, V3RejectsHeaderOffsetsPastSection) {
-  const std::string path = SaveMultiBlockV3("v3_offsets.sqp");
+TEST(StoreIoTest, RejectsBlockOffsetsPastSection) {
+  const std::string path = SaveMultiBlock("hostile_blocks_offsets.sqp");
   const std::string blob = ReadFile(path);
   const SectionExtent index =
       FindSectionExtent(blob, v2::SectionId::kPostingBlockIndex);
@@ -825,7 +809,7 @@ TEST(StoreIoTest, V3RejectsHeaderOffsetsPastSection) {
     std::string bad = blob;
     std::memcpy(bad.data() + index.offset, &payload.length, 8);
     RepairSectionCrc(&bad, v2::SectionId::kPostingBlockIndex);
-    const std::string bad_path = TempPath("v3_offsets_begin.sqp");
+    const std::string bad_path = TempPath("hostile_blocks_offsets_begin.sqp");
     WriteFile(bad_path, bad);
     auto mapped = MmapStore::Open(bad_path);
     EXPECT_FALSE(mapped.ok());
@@ -837,7 +821,7 @@ TEST(StoreIoTest, V3RejectsHeaderOffsetsPastSection) {
     const uint32_t huge = static_cast<uint32_t>(payload.length) + 64;
     std::memcpy(bad.data() + index.offset + 8, &huge, 4);
     RepairSectionCrc(&bad, v2::SectionId::kPostingBlockIndex);
-    const std::string bad_path = TempPath("v3_offsets_len.sqp");
+    const std::string bad_path = TempPath("hostile_blocks_offsets_len.sqp");
     WriteFile(bad_path, bad);
     auto mapped = MmapStore::Open(bad_path);
     EXPECT_FALSE(mapped.ok());
@@ -845,8 +829,8 @@ TEST(StoreIoTest, V3RejectsHeaderOffsetsPastSection) {
   }
 }
 
-TEST(StoreIoTest, V3RejectsMaxScoreInconsistentWithContents) {
-  const std::string path = SaveMultiBlockV3("v3_ceiling.sqp");
+TEST(StoreIoTest, RejectsBlockCeilingInconsistentWithContents) {
+  const std::string path = SaveMultiBlock("hostile_blocks_ceiling.sqp");
   std::string blob = ReadFile(path);
 
   // Nudge the LAST block's ceiling down one IEEE-754 ulp: still in [0, 1],
@@ -864,7 +848,7 @@ TEST(StoreIoTest, V3RejectsMaxScoreInconsistentWithContents) {
   bits -= 1;
   std::memcpy(blob.data() + last + 16, &bits, 8);
   RepairSectionCrc(&blob, v2::SectionId::kPostingBlockIndex);
-  const std::string bad_path = TempPath("v3_ceiling_bad.sqp");
+  const std::string bad_path = TempPath("hostile_blocks_ceiling_bad.sqp");
   WriteFile(bad_path, blob);
 
   // Lazy open succeeds structurally; the decode-validating verification
@@ -882,8 +866,8 @@ TEST(StoreIoTest, V3RejectsMaxScoreInconsistentWithContents) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
 
-TEST(StoreIoTest, V3RejectsMisalignedBlockBoundaries) {
-  const std::string path = SaveMultiBlockV3("v3_boundary.sqp");
+TEST(StoreIoTest, RejectsMisalignedBlockBoundaries) {
+  const std::string path = SaveMultiBlock("hostile_blocks_boundary.sqp");
   std::string blob = ReadFile(path);
 
   // Find a directory row spanning several blocks; declaring its first
@@ -911,7 +895,7 @@ TEST(StoreIoTest, V3RejectsMisalignedBlockBoundaries) {
       blob.data() + index.offset + block_begin * sizeof(PostingBlockHeader) + 12,
       &short_count, 2);
   RepairSectionCrc(&blob, v2::SectionId::kPostingBlockIndex);
-  const std::string bad_path = TempPath("v3_boundary_bad.sqp");
+  const std::string bad_path = TempPath("hostile_blocks_boundary_bad.sqp");
   WriteFile(bad_path, blob);
 
   auto mapped = MmapStore::Open(bad_path);
@@ -922,48 +906,59 @@ TEST(StoreIoTest, V3RejectsMisalignedBlockBoundaries) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
 
-TEST(StoreIoTest, V3OmitsSpoIndexAndSynthesisesIt) {
+TEST(StoreIoTest, RejectsRetiredSectionIds) {
+  const std::string path = TempPath("retired_ids_src.sqp");
+  ASSERT_TRUE(SaveStore(SmallStore(), path).ok());
+  const std::string blob = ReadFile(path);
+  // Relabel the POS index row as 5 (the SQPSTOR2 SPO index) and as 9 (its
+  // flat posting entries): the layout stays structurally sound, so only
+  // the retired-id check can be what refuses the file.
+  for (const v2::SectionId retired :
+       {v2::SectionId::kSpoIndex, v2::SectionId::kPostingEntries}) {
+    std::string bad = blob;
+    const size_t pos_entry = FindTableEntry(bad, v2::SectionId::kPosIndex);
+    ASSERT_NE(pos_entry, std::string::npos);
+    const uint32_t id = static_cast<uint32_t>(retired);
+    std::memcpy(bad.data() + pos_entry, &id, 4);
+    const std::string bad_path = TempPath("retired_ids.sqp");
+    WriteFile(bad_path, bad);
+    auto rejected = MmapStore::Open(bad_path);
+    ASSERT_FALSE(rejected.ok()) << "section id " << id;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(rejected.status().message().find("retired section id"),
+              std::string::npos)
+        << rejected.status().ToString();
+  }
+}
+
+TEST(StoreIoTest, SubjectBoundLookupsNeedNoSpoIndex) {
   Rng rng(28);
   specqp::testing::RandomStoreConfig cfg;
   cfg.num_triples = 600;
   const TripleStore store = specqp::testing::MakeRandomStore(&rng, cfg);
-  const std::string path = TempPath("v3_no_spo.sqp");
+  const std::string path = TempPath("no_spo.sqp");
   ASSERT_TRUE(SaveStore(store, path).ok());
 
-  // The section is genuinely absent from the file...
-  const std::string blob = ReadFile(path);
-  EXPECT_EQ(FindTableEntry(blob, v2::SectionId::kSpoIndex),
-            std::string::npos);
-
-  // ...and subject-bound lookups (the SPO index's consumers) still agree
-  // with the in-memory store through the synthesised identity view.
+  // Subject-bound lookups run on the SPO-sorted triple array itself and
+  // agree with the in-memory store, match for match.
   auto mapped = MmapStore::Open(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   const TripleStore& view = mapped.value()->store();
   size_t checked = 0;
   for (uint32_t i = 0; i < store.size(); i += 37) {
     const Triple& t = store.triples()[i];
-    const PatternKey by_subject{t.s, kInvalidTermId, kInvalidTermId};
-    EXPECT_EQ(view.CountMatches(by_subject), store.CountMatches(by_subject));
+    for (const PatternKey& key :
+         {PatternKey{t.s, kInvalidTermId, kInvalidTermId},
+          PatternKey{t.s, t.p, kInvalidTermId}, PatternKey{t.s, t.p, t.o}}) {
+      const IndexRange want = store.MatchIndices(key);
+      const IndexRange got = view.MatchIndices(key);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t j = 0; j < want.size(); ++j) EXPECT_EQ(got[j], want[j]);
+    }
     EXPECT_TRUE(view.Contains(t.s, t.p, t.o));
     ++checked;
   }
   EXPECT_GT(checked, 0u);
-
-  // A v3 file that does carry the redundant section is malformed.
-  std::string padded = blob;
-  // Graft a fake SPO table entry by flipping an existing section's id; the
-  // simpler, spec-level contract is just that Open rejects the combination,
-  // exercised via the pos-index row.
-  const size_t pos_entry = FindTableEntry(padded, v2::SectionId::kPosIndex);
-  ASSERT_NE(pos_entry, std::string::npos);
-  const uint32_t spo_id = static_cast<uint32_t>(v2::SectionId::kSpoIndex);
-  std::memcpy(padded.data() + pos_entry, &spo_id, 4);
-  const std::string bad_path = TempPath("v3_with_spo.sqp");
-  WriteFile(bad_path, padded);
-  auto rejected = MmapStore::Open(bad_path);
-  EXPECT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kCorruption);
 }
 
 }  // namespace
